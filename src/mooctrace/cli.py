@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,10 +125,19 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def write_text_atomic(path: Path, text: str) -> None:
+    """Write through a unique temp file in the target's directory, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> what open() would give
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_jsonl_atomic(path: Path, objs) -> None:
@@ -139,7 +149,22 @@ def _read_events(path: str):
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise CommandError(EXIT_BAD_INPUT, f"cannot read events: {exc}") from exc
-    return [event_from_json_obj(json.loads(line)) for line in lines if line.strip()]
+    events = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("not a JSON object")
+            events.append(event_from_json_obj(obj))
+        except KeyError as exc:
+            missing = sorted({"sid", "t", "token"} - obj.keys())
+            what = f"missing field {missing[0]!r}" if missing else f"unknown token {exc}"
+            raise CommandError(EXIT_BAD_INPUT, f"{path} line {lineno}: {what}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CommandError(EXIT_BAD_INPUT, f"{path} line {lineno}: {exc}") from exc
+    return events
 
 
 # ---------------------------------------------------------------- commands
@@ -240,49 +265,59 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 
 def _load_matrix(path: str, feature_index_path: str):
+    """(X, y) plus the feature names in column order."""
     try:
         index = json.loads(Path(feature_index_path).read_text())
         text = Path(path).read_text()
     except OSError as exc:
         raise CommandError(EXIT_BAD_INPUT, f"cannot read dataset: {exc}") from exc
-    return features.read_sparse(text, len(index)), index
+    return features.read_sparse(text, len(index)), tuple(sorted(index, key=index.get))
+
+
+def _warn_if_unconverged(trained: svm.TrainedModel) -> None:
+    if not trained.converged:
+        warning = {"warning": "svm did not converge", "n_iterations": trained.n_iterations}
+        print(json.dumps(warning), file=sys.stderr)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    (X, y), index = _load_matrix(args.train, args.features)
+    (X, y), names = _load_matrix(args.train, args.features)
     if len(set(y.tolist())) < 2:
         raise CommandError(EXIT_SINGLE_CLASS, "train split contains a single class")
     trained = svm.fit_svm(X, y, cfg.svm_params())
-    trained.feature_names = tuple(sorted(index, key=index.get))
+    trained.feature_names = names
     write_text_atomic(Path(args.out), svm.dump_model(trained) + "\n")
     print(
         f"train: {len(y)} instances, {len(trained.alphas)} support vectors, "
         f"converged={trained.converged} after {trained.n_iterations} steps"
     )
+    _warn_if_unconverged(trained)
     return 0
 
 
-def _evaluate_model(model_path: str, X: np.ndarray, y: np.ndarray):
+def _evaluate_model(model_path: str, X: np.ndarray, y: np.ndarray, names: tuple):
     try:
         trained = svm.load_model(Path(model_path).read_text())
     except OSError as exc:
         raise CommandError(EXIT_BAD_INPUT, f"cannot read model: {exc}") from exc
-    if X.shape[1] != trained.support_vectors.shape[1]:
+    if trained.feature_names != names:
+        n_model = len(trained.feature_names or ())
         raise CommandError(
             EXIT_BAD_INPUT,
-            f"feature dimension mismatch: data {X.shape[1]}, model "
-            f"{trained.support_vectors.shape[1]}",
+            f"feature names in column order differ from the model's "
+            f"({len(names)} columns vs {n_model} in the model)",
         )
+    _warn_if_unconverged(trained)
     predictions = svm.predict_all(trained, X)
     return predictions, svm.evaluate(list(predictions), list(y))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    (X, y), _ = _load_matrix(args.test, args.features)
+    (X, y), names = _load_matrix(args.test, args.features)
     if len(y) == 0:
         raise CommandError(EXIT_EMPTY_EVENTS, "test split is empty")
-    predictions, report = _evaluate_model(args.model_file, X, y)
+    predictions, report = _evaluate_model(args.model_file, X, y, names)
     write_text_atomic(
         Path(args.out), json.dumps(report.to_json_obj(), sort_keys=True) + "\n"
     )
@@ -291,7 +326,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"fnr={report.fnr:.4f}"
     )
     if args.model_file_b:
-        predictions_b, report_b = _evaluate_model(args.model_file_b, X, y)
+        predictions_b, report_b = _evaluate_model(args.model_file_b, X, y, names)
         correct_a = [int(p == t) for p, t in zip(predictions, y)]
         correct_b = [int(p == t) for p, t in zip(predictions_b, y)]
         t_stat, p_value, df = svm.paired_ttest(correct_a, correct_b)
@@ -309,17 +344,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analysis_columns(sequences):
+def _analysis_columns(sequences, graph_metrics):
     """Categorical columns for interaction-gain and contingency analyses.
 
     Numeric metrics are dichotomized over all instances here; this is a
     descriptive analysis, not a held-out experiment.
     """
     keys = sorted(sequences)
-    labels = []
-    last_week: dict[int, int] = {}
-    for sid, week in keys:
-        last_week[sid] = max(last_week.get(sid, week), week)
+    labels = list(features.dropout_labels(keys).values())
     columns: dict[str, list] = {}
 
     numeric: dict[str, list[float]] = {name: [] for name in (
@@ -328,10 +360,9 @@ def _analysis_columns(sequences):
         "video_active", "video_passive", "forum_active", "forum_passive")}
     nominal, top1, transition = [], [], []
 
-    for sid, week in keys:
-        seq = sequences[(sid, week)]
-        labels.append(1 if week == last_week[sid] else 0)
-        metrics = actgraph.compute_metrics(actgraph.build_graph(seq))
+    for key in keys:
+        seq = sequences[key]
+        metrics = graph_metrics[key]
         numeric["nodes"].append(float(metrics.num_nodes))
         numeric["edges"].append(float(metrics.num_edges))
         numeric["self_loops"].append(float(metrics.num_self_loops))
@@ -381,21 +412,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         selected = sorted(sequences)
 
+    graphs = {key: actgraph.build_graph(seq) for key, seq in sequences.items()}
+    graph_metrics = {key: actgraph.compute_metrics(g) for key, g in graphs.items()}
     metric_rows = [actgraph.METRICS_CSV_HEADER]
     for sid, week in selected:
-        seq = sequences[(sid, week)]
-        graph = actgraph.build_graph(seq)
+        key = (sid, week)
         write_text_atomic(
-            out / "dot" / f"s{sid}_w{week}.dot", actgraph.export_dot(graph, seq)
+            out / "dot" / f"s{sid}_w{week}.dot",
+            actgraph.export_dot(graphs[key], sequences[key]),
         )
         metric_rows.append(
-            actgraph.metrics_csv_row(
-                sid, week, cfg.setup.value, actgraph.compute_metrics(graph)
-            )
+            actgraph.metrics_csv_row(sid, week, cfg.setup.value, graph_metrics[key])
         )
     write_text_atomic(out / "graph_metrics.csv", "\n".join(metric_rows) + "\n")
 
-    columns, labels = _analysis_columns(sequences)
+    columns, labels = _analysis_columns(sequences, graph_metrics)
     ranking = svm.interaction_gain_ranking(columns, labels)
     gain_lines = ["feature_a,feature_b,gain"]
     gain_lines += [f"{a},{b},{gain:.6g}" for a, b, gain in ranking]

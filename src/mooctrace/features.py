@@ -177,6 +177,14 @@ def _instance_features(
     return feats
 
 
+def dropout_labels(keys) -> dict[tuple[int, int], int]:
+    """Label per (student, week) key: 1 exactly on the student's last active week."""
+    last_week: dict[int, int] = {}
+    for sid, week in keys:
+        last_week[sid] = max(last_week.get(sid, week), week)
+    return {(sid, week): int(week == last_week[sid]) for sid, week in keys}
+
+
 def assemble_dataset(
     curr_seqs: dict[tuple[int, int], FootprintSequence],
     tcurr_seqs: dict[tuple[int, int], FootprintSequence],
@@ -193,22 +201,15 @@ def assemble_dataset(
     if setup == Setup.TCURR and set(curr_seqs) != set(tcurr_seqs):
         raise ValueError("curr and tcurr instance keys differ")
 
-    last_week: dict[int, int] = {}
-    for sid, week in sequences:
-        last_week[sid] = max(last_week.get(sid, week), week)
-
-    instances = []
-    for key in sorted(sequences):
-        sid, week = key
-        seq = sequences[key]
-        label = 1 if week == last_week[sid] else 0
-        instances.append(
-            FeatureVector(
-                (sid, week, setup.value),
-                _instance_features(seq, model_family),
-                label,
-            )
+    labels = dropout_labels(sequences)
+    instances = [
+        FeatureVector(
+            (sid, week, setup.value),
+            _instance_features(sequences[(sid, week)], model_family),
+            labels[(sid, week)],
         )
+        for sid, week in sorted(sequences)
+    ]
     return Dataset(instances, setup, model_family)
 
 
@@ -351,22 +352,6 @@ def build_model_datasets(
     return finalize_split(train, test, rare_threshold)
 
 
-def dataset_to_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (X, y) using the dataset's feature index."""
-    if dataset.feature_index is None:
-        raise ValueError("dataset has no feature index; finalize it first")
-    index = dataset.feature_index
-    X = np.zeros((len(dataset.instances), len(index)))
-    y = np.zeros(len(dataset.instances), dtype=int)
-    for row, fv in enumerate(dataset.instances):
-        y[row] = fv.label
-        for name, value in fv.features.items():
-            col = index.get(name)
-            if col is not None:
-                X[row, col] = value
-    return X, y
-
-
 def export_sparse(dataset: Dataset) -> str:
     """One instance per line: `label idx:val ...` with ascending indices."""
     if dataset.feature_index is None:
@@ -383,7 +368,11 @@ def export_sparse(dataset: Dataset) -> str:
 
 
 def read_sparse(text: str, n_features: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parse export_sparse output back into dense arrays."""
+    """Parse export_sparse output back into dense arrays.
+
+    Raises ValueError on an item that is not `int:float` or on a column
+    index outside [0, n_features).
+    """
     rows = [line for line in text.splitlines() if line.strip()]
     X = np.zeros((len(rows), n_features))
     y = np.zeros(len(rows), dtype=int)
@@ -391,20 +380,10 @@ def read_sparse(text: str, n_features: int) -> tuple[np.ndarray, np.ndarray]:
         parts = line.split()
         y[r] = int(parts[0])
         for item in parts[1:]:
-            col, value = item.split(":", 1)
-            X[r, int(col)] = float(value)
+            col, _, value = item.partition(":")
+            c = int(col)
+            if not 0 <= c < n_features:
+                raise ValueError(f"row {r + 1}: column {c} outside [0, {n_features})")
+            X[r, c] = float(value)
     return X, y
 
-
-def export_csv(dataset: Dataset) -> str:
-    """Dense CSV (small fixtures only): instance id, label, all columns."""
-    if dataset.feature_index is None:
-        raise ValueError("dataset has no feature index; finalize it first")
-    names = sorted(dataset.feature_index, key=dataset.feature_index.get)
-    header = "sid,courseweek,setup,label," + ",".join(names)
-    lines = [header]
-    for fv in dataset.instances:
-        sid, week, setup = fv.instance_id
-        values = ",".join(f"{fv.features.get(n, 0.0):.10g}" for n in names)
-        lines.append(f"{sid},{week},{setup},{fv.label},{values}")
-    return "\n".join(lines) + "\n"

@@ -9,17 +9,15 @@ the positive class.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 import numpy as np
 from scipy import stats
-
-from mooctrace.features import Dataset, dataset_to_arrays
 
 _EPS = 1e-12
 
@@ -55,40 +53,10 @@ class TrainedModel:
     objective_trace: list[float] = field(default_factory=list)
 
 
-def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2); always in (0, 1]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    diff = x - y
-    return float(np.exp(-gamma * np.dot(diff, diff)))
-
-
-def _kernel_column(X: np.ndarray, i: int, gamma: float) -> np.ndarray:
-    diff = X - X[i]
+def _rbf_column(A: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * ||a - x||^2) for every row a of A; each value in (0, 1]."""
+    diff = A - x
     return np.exp(-gamma * np.einsum("ij,ij->i", diff, diff))
-
-
-class _ColumnCache:
-    """LRU cache of training-kernel columns (full matrix can be too large)."""
-
-    def __init__(self, X: np.ndarray, gamma: float, maxsize: int = 1024):
-        self.X = X
-        self.gamma = gamma
-        self.maxsize = maxsize
-        self._cols: OrderedDict[int, np.ndarray] = OrderedDict()
-
-    def get(self, i: int) -> np.ndarray:
-        col = self._cols.get(i)
-        if col is None:
-            col = _kernel_column(self.X, i, self.gamma)
-            if len(self._cols) >= self.maxsize:
-                self._cols.popitem(last=False)
-            self._cols[i] = col
-        else:
-            self._cols.move_to_end(i)
-        return col
 
 
 def default_class_cost(y01: np.ndarray) -> dict[int, float]:
@@ -128,7 +96,10 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
 
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of (1/2) a'Qa - sum(a) at alpha = 0
-    cache = _ColumnCache(X, gamma, maxsize=max(64, min(n, 2048)))
+    # LRU cache of training-kernel columns (the full matrix can be too large).
+    column = functools.lru_cache(maxsize=max(64, min(n, 2048)))(
+        lambda i: _rbf_column(X, X[i], gamma)
+    )
     rng = random.Random(params.seed)
     trace: list[float] = []
 
@@ -147,8 +118,8 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
             converged = True
             break
 
-        Ki = cache.get(i)
-        Kj = cache.get(j)
+        Ki = column(i)
+        Kj = column(j)
         eta = Ki[i] + Kj[j] - 2.0 * Ki[j]
         if eta <= _EPS:
             # Duplicate points make the pair degenerate; fall back to a
@@ -157,7 +128,7 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
             rng.shuffle(candidates)
             j_alt = None
             for k in candidates:
-                Kk = cache.get(int(k))
+                Kk = column(int(k))
                 if Ki[i] + Kk[k] - 2.0 * Ki[int(k)] > _EPS:
                     j_alt, Kj = int(k), Kk
                     break
@@ -222,33 +193,20 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
     )
 
 
-def train_svm(train: Dataset, params: SvmParams) -> TrainedModel:
-    """Train on a finalized Dataset; fails if only one class is present."""
-    X, y = dataset_to_arrays(train)
-    model = fit_svm(X, y, params)
-    names = sorted(train.feature_index, key=train.feature_index.get)
-    model.feature_names = tuple(names)
-    return model
-
-
-def decision_value(model: TrainedModel, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != model.support_vectors.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: {x.shape[0]} vs {model.support_vectors.shape[1]}"
-        )
-    diff = model.support_vectors - x
-    k = np.exp(-model.gamma * np.einsum("ij,ij->i", diff, diff))
-    return float(np.dot(model.alphas * model.sv_labels, k) + model.bias)
-
-
-def predict(model: TrainedModel, x: np.ndarray) -> int:
-    """Predicted label in {0, 1}; a decision value of exactly 0 maps to 0."""
-    return 1 if decision_value(model, x) > 0 else 0
+def decision_function(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """Decision values sum_i alpha_i y_i K(sv_i, x) + bias, one per row of X."""
+    X = np.asarray(X, dtype=float)
+    n_features = model.support_vectors.shape[1]
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"dimension mismatch: {X.shape} vs {n_features} features")
+    coef = model.alphas * model.sv_labels
+    sv = model.support_vectors
+    return np.array([np.dot(coef, _rbf_column(sv, x, model.gamma)) for x in X]) + model.bias
 
 
 def predict_all(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    return np.array([predict(model, x) for x in np.asarray(X, dtype=float)])
+    """Predicted labels in {0, 1}; a decision value of exactly 0 maps to 0."""
+    return (decision_function(model, X) > 0).astype(int)
 
 
 @dataclass(frozen=True)

@@ -183,9 +183,10 @@ def _run_pipeline(signal, seed=7, n_students=1000):
     train, test = ft.build_model_datasets(
         curr, tcurr, Setup.CURR, ft.ModelFamily.GRAPH, (798619, 1882807), 4
     )
-    X, y = ft.dataset_to_arrays(train)
+    n_features = len(train.feature_index)
+    X, y = ft.read_sparse(ft.export_sparse(train), n_features)
     model = svm.fit_svm(X, y, svm.SvmParams(seed=seed))
-    X_test, y_test = ft.dataset_to_arrays(test)
+    X_test, y_test = ft.read_sparse(ft.export_sparse(test), n_features)
     predictions = list(svm.predict_all(model, X_test))
     return predictions, list(y_test)
 

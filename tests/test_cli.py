@@ -124,6 +124,24 @@ class TestFeaturizeCommand:
             indexes[family] = set(json.loads((out / "features.json").read_text()))
         assert indexes["combined"] == indexes["baseline"] | indexes["graph"]
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('{"sid":1,"t":1.0}', "missing field 'token'"),
+            ('{"sid":1,"t":1.0,"token":"XX"}', "unknown token 'XX'"),
+            ('[1, 1.0, "PL"]', "not a JSON object"),
+            ('{"sid":"abc","t":1.0,"token":"PL"}', "invalid literal"),
+            ('{"sid":1,"t":null,"token":"PL"}', "float() argument"),
+        ],
+    )
+    def test_malformed_event_line_exit_2(self, tmp_path, capsys, line, reason):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"sid":1,"t":0.0,"token":"PL"}\n\n' + line + "\n")
+        code = run("featurize", "--events", events, "--out-dir", tmp_path / "o")
+        assert code == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().err)
+        assert "line 3" in err["error"] and reason in err["error"]
+
     def test_config_file_flags_override(self, tmp_path, events_dir):
         config = tmp_path / "run.cfg"
         config.write_text("setup=tcurr\nrare_threshold=2\n# comment\n")
@@ -160,6 +178,55 @@ class TestTrainEvalCommands:
                    "--out", tmp_path / "r.json", "--ttest-out", ttest_path) == 0
         ttest = json.loads(ttest_path.read_text())
         assert ttest["t"] == 0.0 and ttest["p"] == 1.0
+
+    @pytest.mark.parametrize("item", ["-1:5.0", "999999:1.0", "3=1.0"])
+    def test_bad_train_column_exit_2(self, tmp_path, featurized_dir, capsys, item):
+        lines = (featurized_dir / "train.txt").read_text().splitlines()
+        bad = tmp_path / "train.txt"
+        bad.write_text("\n".join(lines[:-1] + [lines[-1] + " " + item]) + "\n")
+        code = run("train", "--train", bad, "--features", featurized_dir / "features.json",
+                   "--out", tmp_path / "m.json")
+        assert code == cli.EXIT_BAD_INPUT
+        assert json.loads(capsys.readouterr().err)["code"] == cli.EXIT_BAD_INPUT
+        assert not (tmp_path / "m.json").exists()
+
+    def test_eval_rejects_renamed_features(self, tmp_path, featurized_dir, capsys):
+        features_path = featurized_dir / "features.json"
+        model_path = tmp_path / "model.json"
+        assert run("train", "--train", featurized_dir / "train.txt",
+                   "--features", features_path, "--out", model_path) == 0
+        index = json.loads(features_path.read_text())
+        names = sorted(index, key=index.get)
+        assert json.loads(model_path.read_text())["feature_names"] == names
+        renamed = tmp_path / "features.json"
+        renamed.write_text(json.dumps({f"x{col}": col for col in index.values()}))
+        capsys.readouterr()
+        code = run("eval", "--model-file", model_path,
+                   "--test", featurized_dir / "test.txt",
+                   "--features", renamed, "--out", tmp_path / "r.json")
+        assert code == cli.EXIT_BAD_INPUT
+        assert "feature names" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_unconverged_model_warns(self, tmp_path, featurized_dir, capsys):
+        model_path = tmp_path / "model.json"
+        assert run("train", "--train", featurized_dir / "train.txt",
+                   "--features", featurized_dir / "features.json",
+                   "--out", model_path, "--svm-max-passes", 3) == 0
+        expected = {"warning": "svm did not converge", "n_iterations": 3}
+        assert json.loads(capsys.readouterr().err) == expected
+        assert json.loads(model_path.read_text())["converged"] is False
+        assert run("eval", "--model-file", model_path,
+                   "--test", featurized_dir / "test.txt",
+                   "--features", featurized_dir / "features.json",
+                   "--out", tmp_path / "r.json") == 0
+        assert json.loads(capsys.readouterr().err) == expected
+
+    def test_converged_model_is_quiet(self, tmp_path, featurized_dir, capsys):
+        assert run("train", "--train", featurized_dir / "train.txt",
+                   "--features", featurized_dir / "features.json",
+                   "--out", tmp_path / "model.json") == 0
+        assert capsys.readouterr().err == ""
 
     def test_single_class_train_exit_4(self, tmp_path, capsys):
         # Every student participates exactly one week: all labels are 1.
@@ -208,6 +275,28 @@ class TestReportCommand:
             total = sum(int(r.split(",")[1]) + int(r.split(",")[2]) for r in rows)
             assert total == n_instances
         assert len(list((out / "dot").glob("*.dot"))) == n_instances
+
+
+class TestAtomicWrite:
+    def test_stale_tmp_directory_does_not_block(self, tmp_path):
+        target = tmp_path / "out.txt"
+        (tmp_path / "out.txt.tmp").mkdir()
+        cli.write_text_atomic(target, "a\n")
+        cli.write_text_atomic(target, "b\n")
+        assert target.read_text() == "b\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "out.txt.tmp"]
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        atomic = tmp_path / "atomic.txt"
+        cli.write_text_atomic(atomic, "x")
+        assert atomic.stat().st_mode == plain.stat().st_mode
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            cli.write_text_atomic(tmp_path / "out.txt", None)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

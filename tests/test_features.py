@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from mooctrace import features as ft
@@ -123,6 +122,10 @@ class TestAssembleDataset:
         ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.BASELINE)
         labels = {fv.instance_id[:2]: fv.label for fv in ds.instances}
         assert labels == {(1, 1): 0, (1, 2): 0, (1, 3): 1, (2, 2): 1}
+
+    def test_dropout_labels_any_key_order(self):
+        keys = [(2, 5), (1, 3), (1, 1), (2, 2)]
+        assert ft.dropout_labels(keys) == {(2, 5): 1, (1, 3): 1, (1, 1): 0, (2, 2): 0}
 
     def test_exactly_one_positive_per_student(self):
         curr, tcurr = build_sequences(THREE_WEEK_LAYOUT)
@@ -302,15 +305,13 @@ class TestMatrixRoundTrip:
         ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.GRAPH)
         train, test = ft.split_by_student(ds, 2, 2)
         train, test = ft.finalize_split(train, test, rare_threshold=0)
-        X, y = ft.dataset_to_arrays(train)
-        X2, y2 = ft.read_sparse(ft.export_sparse(train), len(train.feature_index))
-        assert np.array_equal(X, X2) and np.array_equal(y, y2)
+        index = train.feature_index
+        X, y = ft.read_sparse(ft.export_sparse(train), len(index))
+        assert list(y) == [fv.label for fv in train.instances]
+        for row, fv in zip(X, train.instances):
+            assert {name: row[col] for name, col in index.items() if row[col]} == fv.features
 
-    def test_csv_export_header(self):
-        curr, tcurr = build_sequences({1: {1: [T.PL], 2: [T.PA]}})
-        ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.BASELINE)
-        with pytest.warns(UserWarning, match="test split is empty"):
-            train, test = ft.split_by_student(ds, 99, 100)
-        train, _ = ft.finalize_split(train, test, 0)
-        csv = ft.export_csv(train)
-        assert csv.splitlines()[0].startswith("sid,courseweek,setup,label,")
+    @pytest.mark.parametrize("item", ["5:1.0", "-1:5.0", "x:1.0", "1:abc", "3", "1.5:2.0"])
+    def test_read_sparse_rejects_bad_items(self, item):
+        with pytest.raises(ValueError):
+            ft.read_sparse(f"1 0:1.0 {item}\n", 5)

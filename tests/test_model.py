@@ -14,20 +14,36 @@ TOY_PARAMS = m.SvmParams(C=10.0, gamma=1.0, class_cost={0: 1.0, 1: 1.0},
                          track_objective=True)
 
 
+def kernel_value(x, y, gamma):
+    """K(x, y) read off the decision value of a one-SV model (alpha 1, bias 0)."""
+    model = m.TrainedModel(
+        support_vectors=np.array([y], dtype=float),
+        sv_labels=np.ones(1),
+        alphas=np.ones(1),
+        bias=0.0,
+        gamma=gamma,
+        params=m.SvmParams(),
+        converged=True,
+        n_iterations=0,
+    )
+    (value,) = m.decision_function(model, np.array([x], dtype=float))
+    return value
+
+
 class TestRbfKernel:
     def test_identical_points(self):
-        assert m.rbf_kernel(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 0.7) == 1.0
+        assert kernel_value([1.0, 2.0], [1.0, 2.0], 0.7) == 1.0
 
     def test_gamma_zero_limit(self):
-        assert m.rbf_kernel(np.array([0.0]), np.array([100.0]), 0.0) == 1.0
+        assert kernel_value([0.0], [100.0], 0.0) == 1.0
 
     def test_unit_distance(self):
-        value = m.rbf_kernel(np.array([0.0, 0.0]), np.array([1.0, 1.0]), 0.5)
+        value = kernel_value([0.0, 0.0], [1.0, 1.0], 0.5)
         assert value == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            m.rbf_kernel(np.array([1.0]), np.array([1.0, 2.0]), 1.0)
+            kernel_value([1.0], [1.0, 2.0], 1.0)
 
     def test_kernel_matrix_psd(self):
         rng = np.random.default_rng(42)
@@ -87,8 +103,9 @@ class TestSmoTraining:
     def test_symmetric_midpoint_ties_to_zero(self):
         X = np.array([[-1.0, 0.0], [1.0, 0.0]])
         model = m.fit_svm(X, np.array([0, 1]), m.SvmParams(C=1.0, gamma=1.0))
-        assert m.decision_value(model, np.array([0.0, 0.0])) == pytest.approx(0.0, abs=1e-9)
-        assert m.predict(model, np.array([0.0, 0.0])) == 0
+        origin = np.array([[0.0, 0.0]])
+        assert m.decision_function(model, origin)[0] == pytest.approx(0.0, abs=1e-9)
+        assert list(m.predict_all(model, origin)) == [0]
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="single class"):
@@ -274,27 +291,6 @@ class TestContingency:
 
 
 class TestTrainOnDataset:
-    def make_dataset(self):
-        from mooctrace.features import Dataset, FeatureVector, ModelFamily
-        from mooctrace.footprint import Setup
-
-        instances = []
-        for i in range(12):
-            label = i % 2
-            feats = {"ctl:courseweek": float(i % 3), "graph:num_nodes": float(label)}
-            instances.append(FeatureVector((i, 1, "curr"), feats, label))
-        index = {"ctl:courseweek": 0, "graph:num_nodes": 1}
-        return Dataset(instances, Setup.CURR, ModelFamily.GRAPH, index)
-
-    def test_train_svm_wires_feature_names(self):
-        ds = self.make_dataset()
-        model = m.train_svm(ds, m.SvmParams(C=5.0, gamma=1.0))
-        assert model.feature_names == ("ctl:courseweek", "graph:num_nodes")
-        from mooctrace.features import dataset_to_arrays
-
-        X, y = dataset_to_arrays(ds)
-        assert list(m.predict_all(model, X)) == list(y)
-
     def test_leaked_label_column_is_learned_perfectly(self):
         # Sanity check: a feature that copies the label yields ~perfect accuracy.
         rng = np.random.default_rng(6)
@@ -312,8 +308,8 @@ class TestSerialization:
         restored = m.load_model(m.dump_model(model))
         assert restored.feature_names == ("f0", "f1")
         assert list(m.predict_all(restored, TOY_X)) == list(TOY_Y)
-        assert m.decision_value(restored, TOY_X[0]) == pytest.approx(
-            m.decision_value(model, TOY_X[0]), abs=1e-15
+        assert m.decision_function(restored, TOY_X) == pytest.approx(
+            m.decision_function(model, TOY_X), abs=1e-15
         )
 
     def test_version_check(self):
@@ -334,5 +330,4 @@ class TestSerialization:
             n_iterations=0,
         )
         restored = m.load_model(m.dump_model(empty))
-        assert m.predict(restored, np.array([3.0, -2.0])) == 0
-        assert m.predict(restored, np.array([0.0, 0.0])) == 0
+        assert list(m.predict_all(restored, np.array([[3.0, -2.0], [0.0, 0.0]]))) == [0, 0]
