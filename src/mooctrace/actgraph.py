@@ -5,11 +5,16 @@ edges, keeping self-loops and parallel edges. Metrics read activity
 persistence and organization out of the structure: density (can exceed 1),
 self-loop count, strongly connected components, indegree-central
 activities, and the transition with maximal edge betweenness.
+
+Edge betweenness is exact without rational arithmetic: Brandes'
+accumulation runs on integer node ids and keeps every edge's score as an
+integer numerator over one common denominator per graph, so ties break
+exactly and the reported float is the exact value rounded once.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,6 +141,66 @@ def top_indegree(
     return ranked[:k]
 
 
+def _betweenness_numerators(
+    g: ActivityGraph,
+) -> tuple[list[ActivityToken], dict[tuple[int, int], int], int]:
+    """Edge betweenness as integer numerators over one common denominator.
+
+    Returns (nodes, numerators, denominator): nodes in token order, so a
+    node's id is its position; numerators keyed by (from id, to id) for
+    every non-loop edge of the collapsed simple digraph; and the edge
+    (nodes[u], nodes[v]) has betweenness numerators[u, v] / denominator.
+
+    Brandes' accumulation (Brandes 2001; edge variant, Brandes 2008) with
+    one BFS per source s. D is the lcm of the shortest-path counts sigma of
+    every source. With sigma_x the number of shortest s-x paths and sigma_wt
+    that of shortest w-t paths, (1 + delta_w) / sigma_w = 1 / sigma_w plus
+    the sum of sigma_wt / sigma_t over the targets t whose shortest paths
+    from s pass through w, and every denominator there divides D. So the
+    loop keeps D * delta_w as an integer, and each edge contribution
+    sigma_v * (D + D * delta_w) // sigma_w is an exact division.
+    """
+    nodes = sorted(g.nodes)
+    n = len(nodes)
+    ids = {tok: i for i, tok in enumerate(nodes)}
+    pairs = sorted({(ids[u], ids[v]) for u, v in set(g.edges) if u != v})
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        succ[u].append(v)
+
+    searches = []
+    for source in range(n):
+        # BFS from source: distances, path counts, shortest-path predecessors.
+        dist = [-1] * n
+        sigma = [0] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        dist[source], sigma[source] = 0, 1
+        order = [source]
+        for v in order:  # grows while it is walked: a FIFO queue
+            next_dist = dist[v] + 1
+            for w in succ[v]:
+                if dist[w] < 0:
+                    dist[w] = next_dist
+                    order.append(w)
+                if dist[w] == next_dist:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        searches.append((order, sigma, preds))
+
+    denominator = math.lcm(*(s for _, sigma, _ in searches for s in sigma if s))
+    numerators = dict.fromkeys(pairs, 0)
+    for order, sigma, preds in searches:
+        # Accumulate D * delta in reverse BFS order.
+        delta = [0] * n
+        for w in reversed(order):
+            share = (denominator + delta[w]) // sigma[w]
+            for v in preds[w]:
+                contribution = sigma[v] * share
+                numerators[v, w] += contribution
+                delta[v] += contribution
+    return nodes, numerators, denominator * n * (n - 1)
+
+
 def edge_betweenness(g: ActivityGraph) -> dict[EdgePair, Fraction]:
     """Normalized edge betweenness on the collapsed simple digraph.
 
@@ -145,62 +210,31 @@ def edge_betweenness(g: ActivityGraph) -> dict[EdgePair, Fraction]:
     one path, an edge accumulates the fraction of shortest s-t paths
     passing through it; the sum is normalized by 1/(n(n-1)).
 
-    Computed in exact rational arithmetic; the alphabet bounds node count
-    at 15, so this stays cheap and makes tie-breaks exact.
+    Exact: Brandes' accumulation runs on integer node ids with every
+    dependency scaled by one common denominator, the lcm of all
+    shortest-path counts, so it needs only integer arithmetic.
     """
-    succ = {
-        u: [v for v in vs if v != u] for u, vs in _adjacency(g).items()
+    nodes, numerators, denominator = _betweenness_numerators(g)
+    return {
+        (nodes[u], nodes[v]): Fraction(num, denominator)
+        for (u, v), num in numerators.items()
     }
-    nodes = sorted(g.nodes)
-    n = len(nodes)
-    betweenness: dict[EdgePair, Fraction] = {
-        (u, v): Fraction(0) for u in succ for v in succ[u]
-    }
-    if n < 2:
-        return betweenness
-
-    norm = Fraction(1, n * (n - 1))
-    for source in nodes:
-        # BFS from source: distances, path counts, shortest-path predecessors.
-        dist = {source: 0}
-        sigma = {source: 1}
-        preds: dict[ActivityToken, list[ActivityToken]] = {v: [] for v in nodes}
-        order: list[ActivityToken] = []
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in succ[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    sigma[w] = 0
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        # Accumulate edge dependencies in reverse BFS order.
-        delta = {v: Fraction(0) for v in order}
-        for w in reversed(order):
-            for v in preds[w]:
-                contribution = Fraction(sigma[v], sigma[w]) * (1 + delta[w])
-                betweenness[(v, w)] += contribution
-                delta[v] += contribution
-    return {e: bc * norm for e, bc in betweenness.items()}
 
 
 def central_transition(g: ActivityGraph) -> tuple[EdgePair, float] | None:
     """The non-loop edge with maximal betweenness, or None without one.
 
-    Exact ties break by (from, to) token order.
+    Exact ties break by (from, to) token order. The value is the exact
+    betweenness rounded once to the nearest float.
     """
-    betweenness = edge_betweenness(g)
-    if not betweenness:
+    nodes, numerators, denominator = _betweenness_numerators(g)
+    if not numerators:
         return None
-    best = max(
-        betweenness.items(),
-        key=lambda item: (item[1], -item[0][0].value, -item[0][1].value),
+    # Ids follow token order, so the id pair breaks ties like the tokens.
+    (u, v), num = max(
+        numerators.items(), key=lambda item: (item[1], -item[0][0], -item[0][1])
     )
-    return best[0], float(best[1])
+    return (nodes[u], nodes[v]), num / denominator  # int / int rounds correctly
 
 
 def compute_metrics(g: ActivityGraph) -> GraphMetrics:

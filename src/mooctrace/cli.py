@@ -271,6 +271,15 @@ def _load_matrix(path: str, feature_index_path: str):
         text = Path(path).read_text()
     except OSError as exc:
         raise CommandError(EXIT_BAD_INPUT, f"cannot read dataset: {exc}") from exc
+    if not (
+        isinstance(index, dict)
+        and all(type(col) is int for col in index.values())
+        and sorted(index.values()) == list(range(len(index)))
+    ):
+        raise CommandError(
+            EXIT_BAD_INPUT,
+            f"{feature_index_path}: not a {{name: column}} object over columns 0..n-1",
+        )
     return features.read_sparse(text, len(index)), tuple(sorted(index, key=index.get))
 
 

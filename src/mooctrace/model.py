@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 import numpy as np
-from scipy import stats
 
 _EPS = 1e-12
 
@@ -272,6 +271,10 @@ def paired_ttest(
             return 0.0, 1.0, df
         return math.copysign(math.inf, mean), 0.0, df
     t = mean / math.sqrt(var / n)
+    # Imported here, not at module level: scipy.stats takes about a second
+    # to import and nothing else in the pipeline needs it.
+    from scipy import stats
+
     p = 2.0 * float(stats.t.sf(abs(t), df))
     return t, p, df
 
@@ -377,10 +380,44 @@ def model_to_json_obj(model: TrainedModel) -> dict:
     }
 
 
+_NUMBER = (int, float)
+_MODEL_KEYS = {
+    "params": dict, "bias": _NUMBER, "converged": bool, "n_iterations": int,
+    "n_features": int, "support_vectors": list, "sv_labels": list, "alphas": list,
+}
+_PARAM_KEYS = {
+    "C": _NUMBER, "gamma": _NUMBER, "class_cost": dict, "tolerance": _NUMBER,
+    "max_passes": int, "seed": int,
+}
+
+
+def _checked(obj, schema: dict, where: str) -> dict:
+    """obj itself, once every key of schema is present with its JSON type."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    for key, kind in schema.items():
+        if key not in obj:
+            raise ValueError(f"{where} has no key {key!r}")
+        value = obj[key]
+        # JSON true/false load as bool, which Python also counts as an int.
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ValueError(f"{where} key {key!r} has the wrong type")
+    return obj
+
+
 def model_from_json_obj(obj: dict) -> TrainedModel:
+    """The model a JSON object describes; a ValueError names any bad key."""
+    if not isinstance(obj, dict):
+        raise ValueError("model is not a JSON object")
     if obj.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {obj.get('version')!r}")
-    p = obj["params"]
+    _checked(obj, _MODEL_KEYS, "model")
+    p = _checked(obj["params"], _PARAM_KEYS, "model params")
+    names = obj.get("feature_names")
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(name, str) for name in names)
+    ):
+        raise ValueError("model key 'feature_names' has the wrong type")
     params = SvmParams(
         C=p["C"],
         gamma=p["gamma"],
@@ -389,7 +426,6 @@ def model_from_json_obj(obj: dict) -> TrainedModel:
         max_passes=p["max_passes"],
         seed=p["seed"],
     )
-    names = obj.get("feature_names")
     return TrainedModel(
         support_vectors=np.array(obj["support_vectors"], dtype=float).reshape(
             len(obj["support_vectors"]), obj["n_features"]

@@ -149,6 +149,23 @@ class TestAgainstOracles:
                 g.nodes, g.edges
             )
 
+    def test_long_sequences_match_bruteforce_exactly(self):
+        # TCurr graphs run to dozens of distinct edges; short random
+        # sequences never reach large shortest-path counts or denominators.
+        rng = random.Random(20261018)
+        alphabet = list(T)
+        for _ in range(100):
+            size = rng.choice([len(alphabet), rng.randint(2, len(alphabet) - 1)])
+            letters = rng.sample(alphabet, size)
+            tokens = [rng.choice(letters) for _ in range(rng.randint(20, 200))]
+            g = actgraph.build_graph(tokens)
+            oracle = edge_betweenness_bruteforce(g.nodes, g.edges)
+            assert actgraph.edge_betweenness(g) == oracle
+            best = max(
+                oracle.items(), key=lambda kv: (kv[1], -kv[0][0].value, -kv[0][1].value)
+            )
+            assert actgraph.central_transition(g) == (best[0], float(best[1]))
+
     def test_metric_identities(self):
         rng = random.Random(7)
         for _ in range(200):

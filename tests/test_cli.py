@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from scipy import stats as scipy_stats
 
-from mooctrace import cli
+from mooctrace import cli, features, model as svm
 
 
 def run(*argv):
@@ -228,6 +232,85 @@ class TestTrainEvalCommands:
                    "--out", tmp_path / "model.json") == 0
         assert capsys.readouterr().err == ""
 
+    def test_eval_two_models_paired_ttest(self, tmp_path, featurized_dir):
+        features_path, test_path = featurized_dir / "features.json", featurized_dir / "test.txt"
+        model_a, model_b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run("train", "--train", featurized_dir / "train.txt",
+                   "--features", features_path, "--out", model_a) == 0
+        assert run("train", "--train", featurized_dir / "train.txt",
+                   "--features", features_path, "--out", model_b,
+                   "--cost0", 1, "--cost1", 1) == 0
+        ttest_path = tmp_path / "ttest.json"
+        assert run("eval", "--model-file", model_a, "--model-file-b", model_b,
+                   "--test", test_path, "--features", features_path,
+                   "--out", tmp_path / "r.json", "--ttest-out", ttest_path) == 0
+
+        index = json.loads(features_path.read_text())
+        X, y = features.read_sparse(test_path.read_text(), len(index))
+
+        def correct(path):
+            predictions = svm.predict_all(svm.load_model(path.read_text()), X)
+            return [int(p == t) for p, t in zip(predictions, y)]
+
+        correct_a, correct_b = correct(model_a), correct(model_b)
+        # Differences of both signs: the t-test takes its non-degenerate branch.
+        assert {a - b for a, b in zip(correct_a, correct_b)} == {-1, 0, 1}
+        oracle = scipy_stats.ttest_rel(correct_a, correct_b)
+        ttest = json.loads(ttest_path.read_text())
+        assert ttest["df"] == len(y) - 1
+        assert ttest["t"] == pytest.approx(oracle.statistic, rel=1e-9)
+        assert ttest["p"] == pytest.approx(oracle.pvalue, rel=1e-9)
+
+    @pytest.mark.parametrize("damage,key", [
+        pytest.param(lambda obj: {"version": 1}, "'params'", id="version-only"),
+        pytest.param(lambda obj: [obj], "not a JSON object", id="list"),
+        pytest.param(lambda obj: {k: v for k, v in obj.items() if k != "n_iterations"},
+                     "'n_iterations'", id="no-n_iterations"),
+        pytest.param(lambda obj: dict(obj, params=dict(obj["params"], C="1.0")),
+                     "'C'", id="string-C"),
+        pytest.param(lambda obj: dict(obj, support_vectors=None),
+                     "'support_vectors'", id="null-support_vectors"),
+        pytest.param(lambda obj: dict(obj, feature_names=[1, 2]),
+                     "'feature_names'", id="int-feature_names"),
+    ])
+    def test_malformed_model_exit_2(self, tmp_path, featurized_dir, capsys, damage, key):
+        model_path = tmp_path / "model.json"
+        assert run("train", "--train", featurized_dir / "train.txt",
+                   "--features", featurized_dir / "features.json", "--out", model_path) == 0
+        model_path.write_text(json.dumps(damage(json.loads(model_path.read_text()))))
+        capsys.readouterr()
+        code = run("eval", "--model-file", model_path,
+                   "--test", featurized_dir / "test.txt",
+                   "--features", featurized_dir / "features.json",
+                   "--out", tmp_path / "r.json")
+        assert code == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == cli.EXIT_BAD_INPUT and key in err["error"]
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("index", [
+        pytest.param([0, 1, 2], id="list"),
+        pytest.param({"a": "0"}, id="string-column"),
+        pytest.param({"a": 0, "b": 0}, id="repeated-column"),
+        pytest.param({"a": 1}, id="column-gap"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_feature_index_exit_2(self, tmp_path, featurized_dir, capsys, command, index):
+        bad = tmp_path / "features.json"
+        bad.write_text(json.dumps(index))
+        if command == "train":
+            argv = ("train", "--train", featurized_dir / "train.txt", "--out", tmp_path / "m.json")
+        else:
+            model_path = tmp_path / "model.json"
+            assert run("train", "--train", featurized_dir / "train.txt",
+                       "--features", featurized_dir / "features.json", "--out", model_path) == 0
+            argv = ("eval", "--model-file", model_path, "--test", featurized_dir / "test.txt",
+                    "--out", tmp_path / "r.json")
+        capsys.readouterr()
+        assert run(*argv, "--features", bad) == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == cli.EXIT_BAD_INPUT and "features.json" in err["error"]
+
     def test_single_class_train_exit_4(self, tmp_path, capsys):
         # Every student participates exactly one week: all labels are 1.
         events = tmp_path / "events.jsonl"
@@ -275,6 +358,18 @@ class TestReportCommand:
             total = sum(int(r.split(",")[1]) + int(r.split(",")[2]) for r in rows)
             assert total == n_instances
         assert len(list((out / "dot").glob("*.dot"))) == n_instances
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # scipy.stats takes about a second to import; only eval --model-file-b
+        # needs it, so importing the CLI must not pull it in.
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = "import sys, mooctrace.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestAtomicWrite:
