@@ -60,7 +60,7 @@ class PipelineConfig:
     svm_c: float = 1.0
     svm_gamma: float | None = None
     svm_tolerance: float = 1e-3
-    svm_max_passes: int = 10000
+    svm_max_iter: int = 10000
     cost0: float | None = None
     cost1: float | None = None
 
@@ -73,7 +73,7 @@ class PipelineConfig:
             gamma=self.svm_gamma,
             class_cost=class_cost,
             tolerance=self.svm_tolerance,
-            max_passes=self.svm_max_passes,
+            max_iter=self.svm_max_iter,
             seed=self.seed,
         )
 
@@ -104,7 +104,7 @@ _CONFIG_CASTS = {
     "svm_c": float,
     "svm_gamma": float,
     "svm_tolerance": float,
-    "svm_max_passes": int,
+    "svm_max_iter": int,
     "cost0": float,
     "cost1": float,
 }
@@ -285,7 +285,11 @@ def _load_matrix(path: str, feature_index_path: str):
 
 def _warn_if_unconverged(trained: svm.TrainedModel) -> None:
     if not trained.converged:
-        warning = {"warning": "svm did not converge", "n_iterations": trained.n_iterations}
+        warning = {
+            "warning": "svm did not converge",
+            "n_iterations": trained.n_iterations,
+            "kkt_gap": trained.kkt_gap,
+        }
         print(json.dumps(warning), file=sys.stderr)
 
 
@@ -506,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svm-c", dest="svm_c", type=float)
     p.add_argument("--svm-gamma", dest="svm_gamma", type=float)
     p.add_argument("--svm-tolerance", dest="svm_tolerance", type=float)
-    p.add_argument("--svm-max-passes", dest="svm_max_passes", type=int)
+    p.add_argument("--svm-max-iter", dest="svm_max_iter", type=int)
     p.add_argument("--cost0", type=float)
     p.add_argument("--cost1", type=float)
     _add_config_flags(p)

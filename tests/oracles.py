@@ -2,11 +2,13 @@
 
 Everything here deliberately avoids the algorithms it verifies: SCC counts
 come from reachability closure, betweenness from explicit enumeration of
-every shortest path, and the SVM dual from a generic constrained QP solver.
+every shortest path, the SVM dual from a generic constrained QP solver, and
+RBF decision values from explicit differences, one kernel value at a time.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -94,6 +96,22 @@ def edge_betweenness_bruteforce(nodes, edges) -> dict:
                     bc[edge] += Fraction(1, sigma)
     norm = Fraction(1, n * (n - 1))
     return {e: v * norm for e, v in bc.items()}
+
+
+def rbf_decision_bruteforce(support_vectors, alphas, sv_labels, bias, gamma, X):
+    """sum_i alpha_i y_i exp(-gamma ||sv_i - x||^2) + bias for each row x of X.
+
+    Loops over rows and support vectors; each squared distance is the sum of
+    squared coordinate differences, never the norm expansion under test.
+    """
+    values = []
+    for x in X:
+        total = 0.0
+        for sv, alpha, label in zip(support_vectors, alphas, sv_labels):
+            diff = np.asarray(sv, dtype=float) - np.asarray(x, dtype=float)
+            total += alpha * label * math.exp(-gamma * float(diff @ diff))
+        values.append(total + bias)
+    return np.array(values)
 
 
 def svm_dual_qp(X, y01, C_per_example, gamma):

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from mooctrace import model as m
-from oracles import svm_dual_qp
+from oracles import rbf_decision_bruteforce, svm_dual_qp
 
 TOY_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 TOY_Y = np.array([0, 0, 1, 1])
@@ -51,6 +51,49 @@ class TestRbfKernel:
         sq = np.sum(X**2, axis=1)
         K = np.exp(-0.3 * (sq[:, None] + sq[None, :] - 2 * X @ X.T))
         assert np.linalg.eigvalsh(K).min() >= -1e-8
+
+
+def sparse_like(rng, n_rows, n_cols, density=0.1):
+    """Nonnegative rows with about density * n_cols nonzero entries each."""
+    return rng.random((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < density)
+
+
+class TestBatchedDecision:
+    def test_matches_bruteforce_oracle(self):
+        rng = np.random.default_rng(17)
+        n_cols = 40
+        sv = sparse_like(rng, 30, n_cols, density=0.3)
+        X = sparse_like(rng, 2 * m._ROW_BLOCK + 5, n_cols)
+        X[3] = sv[7]          # distance 0: the clamp keeps K <= 1
+        X[-1] = 1e3           # far away: every kernel value underflows to 0
+        model = m.TrainedModel(
+            support_vectors=sv,
+            sv_labels=np.where(rng.random(30) < 0.5, -1.0, 1.0),
+            alphas=rng.random(30) * 2.0,
+            bias=0.3,
+            gamma=1.0 / n_cols,
+            params=m.SvmParams(),
+            converged=True,
+            n_iterations=0,
+        )
+        assert len(X) > 2 * m._ROW_BLOCK
+        fast = m.decision_function(model, X)
+        slow = rbf_decision_bruteforce(
+            sv, model.alphas, model.sv_labels, model.bias, model.gamma, X
+        )
+        scale = np.abs(model.alphas).sum()
+        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12 * scale)
+        assert fast[-1] == model.bias
+
+    def test_kernel_never_exceeds_one(self):
+        # Large norms make ||a||^2 + ||a||^2 - 2 a.a round away from 0.
+        rng = np.random.default_rng(23)
+        for row in 1e6 + rng.random((20, 8)):
+            assert kernel_value(row, row, 1.0) <= 1.0
+
+    def test_zero_rows(self):
+        model = m.fit_svm(TOY_X, TOY_Y, TOY_PARAMS)
+        assert m.decision_function(model, np.zeros((0, 2))).shape == (0,)
 
 
 def kkt_violations(model: m.TrainedModel) -> tuple[float, float]:
@@ -129,8 +172,17 @@ class TestSmoTraining:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(80, 3))
         y = (rng.random(80) < 0.5).astype(int)
-        model = m.fit_svm(X, y, m.SvmParams(C=1.0, max_passes=3))
+        model = m.fit_svm(X, y, m.SvmParams(C=1.0, max_iter=3))
         assert model.n_iterations == 3 and not model.converged
+
+    def test_kkt_gap_reported(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(80, 3))
+        y = (rng.random(80) < 0.5).astype(int)
+        stopped = m.fit_svm(X, y, m.SvmParams(C=1.0, max_iter=3))
+        done = m.fit_svm(X, y, m.SvmParams(C=1.0))
+        assert stopped.kkt_gap >= stopped.params.tolerance
+        assert done.converged and done.kkt_gap < done.params.tolerance
 
 
 def imbalanced_fixture(seed=1234, n_train=200, n_eval=400, minority=0.05):
@@ -311,6 +363,19 @@ class TestSerialization:
         assert m.decision_function(restored, TOY_X) == pytest.approx(
             m.decision_function(model, TOY_X), abs=1e-15
         )
+
+    def test_round_trip_sparse_support_vectors(self):
+        rng = np.random.default_rng(31)
+        X = sparse_like(rng, 60, 25, density=0.2)
+        y = (X[:, :5].sum(axis=1) + 0.1 * rng.random(60) > 0.5).astype(int)
+        model = m.fit_svm(X, y, m.SvmParams(C=1.0, seed=3))
+        obj = json.loads(m.dump_model(model))
+        assert "support_vectors" not in obj
+        assert len(obj["sv_values"]) == np.count_nonzero(model.support_vectors)
+        restored = m.load_model(m.dump_model(model))
+        assert np.array_equal(restored.support_vectors, model.support_vectors)
+        assert np.array_equal(m.decision_function(restored, X), m.decision_function(model, X))
+        assert (restored.kkt_gap, restored.n_iterations) == (model.kkt_gap, model.n_iterations)
 
     def test_version_check(self):
         obj = json.loads(m.dump_model(m.fit_svm(TOY_X, TOY_Y, TOY_PARAMS)))
