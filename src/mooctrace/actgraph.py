@@ -6,15 +6,20 @@ persistence and organization out of the structure: density (can exceed 1),
 self-loop count, strongly connected components, indegree-central
 activities, and the transition with maximal edge betweenness.
 
+Tokens are ints (see ``events``), so each token indexes the per-node
+lists directly: successor lists, Tarjan's index/lowlink/on-stack state and
+Brandes' distances, path counts and dependencies.
+
 Edge betweenness is exact without rational arithmetic: Brandes'
-accumulation runs on integer node ids and keeps every edge's score as an
-integer numerator over one common denominator per graph, so ties break
-exactly and the reported float is the exact value rounded once.
+accumulation keeps every edge's score as an integer numerator over one
+common denominator per graph, so ties break exactly and the reported
+float is the exact value rounded once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,9 +55,9 @@ class GraphMetrics:
     central_transition: tuple[EdgePair, float] | None
 
 
-def build_graph(seq) -> ActivityGraph:
-    """Build the activity graph from a footprint sequence (or token list)."""
-    tokens = tuple(getattr(seq, "tokens", seq))
+def build_graph(tokens) -> ActivityGraph:
+    """Build the activity graph from a footprint token sequence."""
+    tokens = tuple(tokens)
     edges = tuple(zip(tokens, tokens[1:]))
     return ActivityGraph(frozenset(tokens), edges)
 
@@ -74,20 +79,25 @@ def count_self_loops(g: ActivityGraph) -> int:
     return sum(1 for u, v in g.edges if u == v)
 
 
-def _adjacency(g: ActivityGraph) -> dict[ActivityToken, list[ActivityToken]]:
-    """Simple-digraph successors (parallel edges collapsed), sorted for determinism."""
-    succ: dict[ActivityToken, set[ActivityToken]] = {v: set() for v in g.nodes}
-    for u, v in g.edges:
-        succ[u].add(v)
-    return {u: sorted(vs) for u, vs in succ.items()}
+def _successors(g: ActivityGraph) -> list[list[ActivityToken]]:
+    """Successors per token in the collapsed simple digraph, in token order.
+
+    Parallel edges collapse to one and self-loops are dropped: neither
+    changes strong connectivity or shortest paths.
+    """
+    succ: list[list[ActivityToken]] = [[] for _ in ActivityToken]
+    for u, v in sorted(set(g.edges)):
+        if u != v:
+            succ[u].append(v)
+    return succ
 
 
 def count_scc(g: ActivityGraph) -> int:
     """Number of strongly connected components (Tarjan); 0 for the empty graph."""
-    succ = _adjacency(g)
-    index: dict[ActivityToken, int] = {}
-    lowlink: dict[ActivityToken, int] = {}
-    on_stack: set[ActivityToken] = set()
+    succ = _successors(g)
+    index = [-1] * len(succ)
+    lowlink = [0] * len(succ)
+    on_stack = [False] * len(succ)
     stack: list[ActivityToken] = []
     counter = 0
     n_scc = 0
@@ -97,36 +107,36 @@ def count_scc(g: ActivityGraph) -> int:
         index[v] = lowlink[v] = counter
         counter += 1
         stack.append(v)
-        on_stack.add(v)
+        on_stack[v] = True
         for w in succ[v]:
-            if w not in index:
+            if index[w] < 0:
                 strongconnect(w)
                 lowlink[v] = min(lowlink[v], lowlink[w])
-            elif w in on_stack:
+            elif on_stack[w]:
                 lowlink[v] = min(lowlink[v], index[w])
         if lowlink[v] == index[v]:
             n_scc += 1
             while True:
                 w = stack.pop()
-                on_stack.discard(w)
+                on_stack[w] = False
                 if w == v:
                     break
 
     # Node count is bounded by the 15-token alphabet, so recursion is shallow.
     for v in sorted(g.nodes):
-        if v not in index:
+        if index[v] < 0:
             strongconnect(v)
     return n_scc
 
 
 def indegree_centrality(g: ActivityGraph) -> dict[ActivityToken, float]:
     """Indegree (with multiplicity, self-loops included) over n-1."""
-    indeg = {v: 0 for v in g.nodes}
-    for _, v in g.edges:
-        indeg[v] += 1
     n = g.num_nodes
     if n <= 1:
         return {v: 0.0 for v in g.nodes}
+    indeg = [0] * len(ActivityToken)
+    for _, v in g.edges:
+        indeg[v] += 1
     return {v: indeg[v] / (n - 1) for v in g.nodes}
 
 
@@ -137,19 +147,15 @@ def top_indegree(
     if k < 1:
         raise ValueError("k must be >= 1")
     centrality = indegree_centrality(g)
-    ranked = sorted(centrality.items(), key=lambda item: (-item[1], item[0].value))
-    return ranked[:k]
+    return sorted(centrality.items(), key=lambda item: (-item[1], item[0]))[:k]
 
 
-def _betweenness_numerators(
-    g: ActivityGraph,
-) -> tuple[list[ActivityToken], dict[tuple[int, int], int], int]:
+def _betweenness_numerators(g: ActivityGraph) -> tuple[dict[EdgePair, int], int]:
     """Edge betweenness as integer numerators over one common denominator.
 
-    Returns (nodes, numerators, denominator): nodes in token order, so a
-    node's id is its position; numerators keyed by (from id, to id) for
-    every non-loop edge of the collapsed simple digraph; and the edge
-    (nodes[u], nodes[v]) has betweenness numerators[u, v] / denominator.
+    Returns (numerators, denominator): numerators keyed by (from, to) in
+    token order for every edge of the collapsed simple digraph, and the
+    edge (u, v) has betweenness numerators[u, v] / denominator.
 
     Brandes' accumulation (Brandes 2001; edge variant, Brandes 2008) with
     one BFS per source s. D is the lcm of the shortest-path counts sigma of
@@ -161,19 +167,13 @@ def _betweenness_numerators(
     sigma_v * (D + D * delta_w) // sigma_w is an exact division.
     """
     nodes = sorted(g.nodes)
-    n = len(nodes)
-    ids = {tok: i for i, tok in enumerate(nodes)}
-    pairs = sorted({(ids[u], ids[v]) for u, v in set(g.edges) if u != v})
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        succ[u].append(v)
-
+    succ = _successors(g)
     searches = []
-    for source in range(n):
+    for source in nodes:
         # BFS from source: distances, path counts, shortest-path predecessors.
-        dist = [-1] * n
-        sigma = [0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
+        dist = [-1] * len(succ)
+        sigma = [0] * len(succ)
+        preds: list[list[ActivityToken]] = [[] for _ in succ]
         dist[source], sigma[source] = 0, 1
         order = [source]
         for v in order:  # grows while it is walked: a FIFO queue
@@ -188,17 +188,18 @@ def _betweenness_numerators(
         searches.append((order, sigma, preds))
 
     denominator = math.lcm(*(s for _, sigma, _ in searches for s in sigma if s))
-    numerators = dict.fromkeys(pairs, 0)
+    numerators = {(v, w): 0 for v in nodes for w in succ[v]}
     for order, sigma, preds in searches:
         # Accumulate D * delta in reverse BFS order.
-        delta = [0] * n
+        delta = [0] * len(succ)
         for w in reversed(order):
             share = (denominator + delta[w]) // sigma[w]
             for v in preds[w]:
                 contribution = sigma[v] * share
                 numerators[v, w] += contribution
                 delta[v] += contribution
-    return nodes, numerators, denominator * n * (n - 1)
+    n = len(nodes)
+    return numerators, denominator * n * (n - 1)
 
 
 def edge_betweenness(g: ActivityGraph) -> dict[EdgePair, Fraction]:
@@ -210,15 +211,12 @@ def edge_betweenness(g: ActivityGraph) -> dict[EdgePair, Fraction]:
     one path, an edge accumulates the fraction of shortest s-t paths
     passing through it; the sum is normalized by 1/(n(n-1)).
 
-    Exact: Brandes' accumulation runs on integer node ids with every
-    dependency scaled by one common denominator, the lcm of all
-    shortest-path counts, so it needs only integer arithmetic.
+    Exact: Brandes' accumulation runs with every dependency scaled by one
+    common denominator, the lcm of all shortest-path counts, so it needs
+    only integer arithmetic.
     """
-    nodes, numerators, denominator = _betweenness_numerators(g)
-    return {
-        (nodes[u], nodes[v]): Fraction(num, denominator)
-        for (u, v), num in numerators.items()
-    }
+    numerators, denominator = _betweenness_numerators(g)
+    return {edge: Fraction(num, denominator) for edge, num in numerators.items()}
 
 
 def central_transition(g: ActivityGraph) -> tuple[EdgePair, float] | None:
@@ -227,14 +225,13 @@ def central_transition(g: ActivityGraph) -> tuple[EdgePair, float] | None:
     Exact ties break by (from, to) token order. The value is the exact
     betweenness rounded once to the nearest float.
     """
-    nodes, numerators, denominator = _betweenness_numerators(g)
+    numerators, denominator = _betweenness_numerators(g)
     if not numerators:
         return None
-    # Ids follow token order, so the id pair breaks ties like the tokens.
     (u, v), num = max(
         numerators.items(), key=lambda item: (item[1], -item[0][0], -item[0][1])
     )
-    return (nodes[u], nodes[v]), num / denominator  # int / int rounds correctly
+    return (u, v), num / denominator  # int / int rounds correctly
 
 
 def compute_metrics(g: ActivityGraph) -> GraphMetrics:
@@ -250,18 +247,14 @@ def compute_metrics(g: ActivityGraph) -> GraphMetrics:
     )
 
 
-def export_dot(g: ActivityGraph, seq) -> str:
-    """Graphviz DOT text with Be/En sentinel nodes around the sequence.
+def export_dot(g: ActivityGraph, tokens) -> str:
+    """Graphviz DOT text with Be/En sentinel nodes around the token sequence.
 
     Nodes are sized by indegree centrality and edges widened by parallel
     multiplicity. Sentinels are rendering-only: metrics never see them.
     """
-    tokens = tuple(getattr(seq, "tokens", seq))
     centrality = indegree_centrality(g)
-
-    multiplicity: dict[EdgePair, int] = {}
-    for edge in g.edges:
-        multiplicity[edge] = multiplicity.get(edge, 0) + 1
+    multiplicity = Counter(g.edges)
 
     lines = ["digraph activity {", "  rankdir=LR;"]
     lines.append('  "Be" [shape=doublecircle, width=0.30];')
@@ -271,8 +264,7 @@ def export_dot(g: ActivityGraph, seq) -> str:
         lines.append(f'  "{v.name}" [shape=circle, width={width:.2f}];')
     if tokens:
         lines.append(f'  "Be" -> "{tokens[0].name}";')
-    for (u, v) in sorted(multiplicity, key=lambda e: (e[0].value, e[1].value)):
-        count = multiplicity[(u, v)]
+    for (u, v), count in sorted(multiplicity.items()):
         attrs = f' [penwidth={float(count):.1f}, label="{count}"]' if count > 1 else ""
         lines.append(f'  "{u.name}" -> "{v.name}"{attrs};')
     if tokens:

@@ -162,7 +162,7 @@ def _read_events(path: str):
             missing = sorted({"sid", "t", "token"} - obj.keys())
             what = f"missing field {missing[0]!r}" if missing else f"unknown token {exc}"
             raise CommandError(EXIT_BAD_INPUT, f"{path} line {lineno}: {what}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CommandError(EXIT_BAD_INPUT, f"{path} line {lineno}: {exc}") from exc
     return events
 
@@ -380,10 +380,10 @@ def _analysis_columns(sequences, graph_metrics):
         numeric["edges"].append(float(metrics.num_edges))
         numeric["self_loops"].append(float(metrics.num_self_loops))
         numeric["density"].append(metrics.density)
-        va, vp, fa, fp = features.active_passive_proportions(seq)
+        va, vp, fa, fp = features.active_passive_proportions(seq.tokens)
         for name, value in zip(props, (va, vp, fa, fp)):
             props[name].append(value)
-        nominal.append(nominal_activity_type(seq).value)
+        nominal.append(nominal_activity_type(seq.tokens).value)
         top1.append(metrics.top_indegree[0][0].name if metrics.top_indegree else "none")
         if metrics.central_transition is not None:
             (u, v), _ = metrics.central_transition
@@ -391,12 +391,10 @@ def _analysis_columns(sequences, graph_metrics):
         else:
             transition.append("none")
 
-    for name, vals in numeric.items():
-        bins, _ = features.dichotomize(vals, "equal_frequency")
-        columns[name] = [str(b) for b in bins]
-    for name, vals in props.items():
-        bins, _ = features.dichotomize(vals, "equal_width")
-        columns[name] = [str(b) for b in bins]
+    for strategy, values in (("equal_frequency", numeric), ("equal_width", props)):
+        for name, vals in values.items():
+            split = features.Dichotomizer.fit(vals, strategy)
+            columns[name] = [str(split.apply(v)) for v in vals]
     columns["nominal"] = nominal
     columns["top_activity"] = top1
     columns["central_transition"] = transition
@@ -425,14 +423,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         selected = sorted(sequences)
 
-    graphs = {key: actgraph.build_graph(seq) for key, seq in sequences.items()}
+    graphs = {key: actgraph.build_graph(seq.tokens) for key, seq in sequences.items()}
     graph_metrics = {key: actgraph.compute_metrics(g) for key, g in graphs.items()}
     metric_rows = [actgraph.METRICS_CSV_HEADER]
     for sid, week in selected:
         key = (sid, week)
         write_text_atomic(
             out / "dot" / f"s{sid}_w{week}.dot",
-            actgraph.export_dot(graphs[key], sequences[key]),
+            actgraph.export_dot(graphs[key], sequences[key].tokens),
         )
         metric_rows.append(
             actgraph.metrics_csv_row(sid, week, cfg.setup.value, graph_metrics[key])

@@ -4,6 +4,9 @@ Input logs are JSON-lines. Clickstream lines carry ``sid``, ``t``, ``vid``,
 ``kind`` and, depending on kind, ``dir`` (seek) or ``rate`` (ratechange).
 Forum lines carry ``sid``, ``t``, ``kind``. Parsing is lenient: malformed
 lines become per-line diagnostics instead of aborting the run.
+
+Tokens are ints: ``ActivityToken`` is an ``IntEnum`` over 0..14, so a token is
+its own index into per-token lists, and tokens sort by value (video first).
 """
 
 from __future__ import annotations
@@ -12,14 +15,14 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from typing import IO, Iterable
 
 
-class ActivityToken(Enum):
+class ActivityToken(IntEnum):
     """One of the 15 canonical activity symbols (8 video, 7 forum).
 
-    Enum values fix the canonical tie-break order used throughout:
+    Values fix the canonical tie-break order used throughout:
     video tokens sort before forum tokens.
     """
 
@@ -38,9 +41,6 @@ class ActivityToken(Enum):
     Dv = 12  # downvote
     Vf = 13  # view forum
     Vt = 14  # view thread
-
-    def __lt__(self, other: "ActivityToken") -> bool:
-        return self.value < other.value
 
 
 VIDEO_TOKENS = frozenset(
@@ -340,7 +340,7 @@ def encode_events(
         encoded.extend(events)
         dropped += n
     encoded.extend(encode_forum(forum_events))
-    encoded.sort(key=lambda e: (e.student_id, e.timestamp, e.token.value))
+    encoded.sort(key=lambda e: (e.student_id, e.timestamp, e.token))
     return encoded, dropped
 
 
@@ -349,4 +349,7 @@ def event_to_json_obj(ev: Event) -> dict:
 
 
 def event_from_json_obj(obj: dict) -> Event:
-    return Event(int(obj["sid"]), float(obj["t"]), ActivityToken[obj["token"]])
+    t = float(obj["t"])
+    if not math.isfinite(t):
+        raise ValueError("t must be a finite number")
+    return Event(int(obj["sid"]), t, ActivityToken[obj["token"]])

@@ -9,6 +9,7 @@ support) are always fitted on training instances and reused on test.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -66,11 +67,10 @@ class Dataset:
     feature_index: dict[str, int] | None = None
 
 
-def ngram_features(seq, n_min: int = 2, n_max: int = 5) -> dict[str, int]:
+def ngram_features(tokens, n_min: int = 2, n_max: int = 5) -> dict[str, int]:
     """Counts of contiguous n-token windows for each n in [n_min, n_max]."""
     if not 2 <= n_min <= n_max:
         raise ValueError("require 2 <= n_min <= n_max")
-    tokens = tuple(getattr(seq, "tokens", seq))
     counts: dict[str, int] = {}
     for n in range(n_min, n_max + 1):
         for i in range(len(tokens) - n + 1):
@@ -79,18 +79,13 @@ def ngram_features(seq, n_min: int = 2, n_max: int = 5) -> dict[str, int]:
     return counts
 
 
-def sequence_length(seq) -> int:
-    return len(getattr(seq, "tokens", seq))
-
-
-def active_passive_proportions(seq) -> tuple[float, float, float, float]:
+def active_passive_proportions(tokens) -> tuple[float, float, float, float]:
     """(video_active, video_passive, forum_active, forum_passive).
 
     Video proportions are taken over video tokens only and forum over forum
     tokens only; a source with no tokens yields (0, 0) for its pair (the
     nominal control variable carries the which-source-present signal).
     """
-    tokens = tuple(getattr(seq, "tokens", seq))
     n_video = sum(1 for t in tokens if t in VIDEO_TOKENS)
     n_forum = sum(1 for t in tokens if t in FORUM_TOKENS)
     video_active = video_passive = forum_active = forum_passive = 0.0
@@ -138,30 +133,24 @@ class Dichotomizer:
         return 1 if value >= self.threshold else 0
 
 
-def dichotomize(values: list[float], strategy: str) -> tuple[list[int], float]:
-    """Fit-and-apply on one value list; returns (bins, threshold)."""
-    d = Dichotomizer.fit(values, strategy)
-    return [d.apply(v) for v in values], d.threshold
-
-
 def _instance_features(
     seq: FootprintSequence, model_family: ModelFamily
 ) -> dict[str, float]:
     feats: dict[str, float] = {
         "ctl:courseweek": float(seq.week.courseweek),
         "ctl:userweek": float(seq.week.userweek),
-        "ctl:seq_length": float(sequence_length(seq)),
-        f"ctl:nominal={nominal_activity_type(seq).value}": 1.0,
+        "ctl:seq_length": float(len(seq.tokens)),
+        f"ctl:nominal={nominal_activity_type(seq.tokens).value}": 1.0,
     }
     if model_family in (ModelFamily.BASELINE, ModelFamily.COMBINED):
-        for name, count in ngram_features(seq).items():
+        for name, count in ngram_features(seq.tokens).items():
             feats[name] = float(count)
-        va, vp, fa, fp = active_passive_proportions(seq)
+        va, vp, fa, fp = active_passive_proportions(seq.tokens)
         for name, value in zip(PROP_FEATURES, (va, vp, fa, fp)):
             if value:
                 feats[name] = value
     if model_family in (ModelFamily.GRAPH, ModelFamily.COMBINED):
-        metrics = actgraph.compute_metrics(actgraph.build_graph(seq))
+        metrics = actgraph.compute_metrics(actgraph.build_graph(seq.tokens))
         feats["graph:num_nodes"] = float(metrics.num_nodes)
         feats["graph:num_edges"] = float(metrics.num_edges)
         if metrics.density:
@@ -370,20 +359,26 @@ def export_sparse(dataset: Dataset) -> str:
 def read_sparse(text: str, n_features: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse export_sparse output back into dense arrays.
 
-    Raises ValueError on an item that is not `int:float` or on a column
-    index outside [0, n_features).
+    Raises ValueError on a label other than 0 or 1, on an item that is not
+    `int:float`, on a value that is not finite, or on a column index outside
+    [0, n_features).
     """
     rows = [line for line in text.splitlines() if line.strip()]
     X = np.zeros((len(rows), n_features))
     y = np.zeros(len(rows), dtype=int)
     for r, line in enumerate(rows):
         parts = line.split()
+        if parts[0] not in ("0", "1"):
+            raise ValueError(f"row {r + 1}: label {parts[0]!r} is not 0 or 1")
         y[r] = int(parts[0])
         for item in parts[1:]:
             col, _, value = item.partition(":")
             c = int(col)
             if not 0 <= c < n_features:
                 raise ValueError(f"row {r + 1}: column {c} outside [0, {n_features})")
-            X[r, c] = float(value)
+            x = float(value)
+            if not math.isfinite(x):
+                raise ValueError(f"row {r + 1}: column {c} value {value!r} is not finite")
+            X[r, c] = x
     return X, y
 

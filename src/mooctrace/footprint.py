@@ -30,9 +30,6 @@ class NominalActivityType(str, Enum):
     VIDEO_ONLY = "video_only"
     FORUM_ONLY = "forum_only"
     BOTH = "both"
-    # Unreachable for generated instances (each has >= 1 event) but kept
-    # so the category set is complete.
-    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ def assign_week(timestamp: float, course_start: float) -> int:
 def _sorted_week_events(events: list[Event]) -> list[Event]:
     # Timestamp ties break by token order (video tokens sort before forum
     # tokens by construction), then by input order via sort stability.
-    return sorted(events, key=lambda e: (e.timestamp, e.token.value))
+    return sorted(events, key=lambda e: (e.timestamp, e.token))
 
 
 def build_curr_sequences(
@@ -125,9 +122,8 @@ def build_tcurr_sequences(
     return sequences
 
 
-def nominal_activity_type(seq) -> NominalActivityType:
-    """Classify a sequence by which token sources appear."""
-    tokens = getattr(seq, "tokens", seq)
+def nominal_activity_type(tokens) -> NominalActivityType:
+    """Classify a non-empty token sequence by which token sources appear."""
     has_video = any(t in VIDEO_TOKENS for t in tokens)
     has_forum = any(t in FORUM_TOKENS for t in tokens)
     if has_video and has_forum:
@@ -136,7 +132,7 @@ def nominal_activity_type(seq) -> NominalActivityType:
         return NominalActivityType.VIDEO_ONLY
     if has_forum:
         return NominalActivityType.FORUM_ONLY
-    return NominalActivityType.NONE
+    raise ValueError("an empty token sequence has no activity type")
 
 
 def sequence_to_json_obj(seq: FootprintSequence) -> dict:

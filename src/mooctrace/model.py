@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
@@ -119,6 +120,8 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
         raise ValueError("training data has no feature columns")
 
     gamma = params.gamma if params.gamma is not None else 1.0 / X.shape[1]
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, not {gamma}")
     class_cost = (
         params.class_cost if params.class_cost is not None else default_class_cost(y01)
     )
@@ -451,7 +454,7 @@ _PARAM_KEYS = {
 
 
 def _checked(obj, schema: dict, where: str) -> dict:
-    """obj itself, once every key of schema is present with its JSON type."""
+    """obj itself, once every key of schema is present with its JSON type, numbers finite."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} is not a JSON object")
     for key, kind in schema.items():
@@ -461,18 +464,24 @@ def _checked(obj, schema: dict, where: str) -> dict:
         # JSON true/false load as bool, which Python also counts as an int.
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise ValueError(f"{where} key {key!r} has the wrong type")
+        # Exact for ints too; False for NaN, the infinities and ints past float range.
+        if kind is _NUMBER and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{where} key {key!r} is not a finite float")
     return obj
 
 
 def _array(obj: dict, key: str, dtype: type) -> np.ndarray:
-    """The JSON list obj[key] as an array; ints for int, any JSON number for float."""
+    """The JSON list obj[key] as an array; ints for int, finite JSON numbers for float."""
     kinds = (int,) if dtype is int else (int, float)
     if not all(type(v) in kinds for v in obj[key]):
         raise ValueError(f"model key {key!r} has an entry of the wrong type")
     try:
-        return np.array(obj[key], dtype=dtype)
+        values = np.array(obj[key], dtype=dtype)
     except OverflowError:
         raise ValueError(f"model key {key!r} has an entry out of range") from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"model key {key!r} has an entry that is not finite")
+    return values
 
 
 def _support_vectors(obj: dict, n_sv: int) -> np.ndarray:
@@ -504,11 +513,15 @@ def model_from_json_obj(obj: dict) -> TrainedModel:
         raise ValueError(f"unsupported model format version {obj.get('version')!r}")
     _checked(obj, _MODEL_KEYS, "model")
     p = _checked(obj["params"], _PARAM_KEYS, "model params")
+    if p["gamma"] <= 0:
+        raise ValueError("model params key 'gamma' is not positive")
     names = obj.get("feature_names")
     if names is not None and not (
         isinstance(names, list) and all(isinstance(name, str) for name in names)
     ):
         raise ValueError("model key 'feature_names' has the wrong type")
+    if names is not None and len(names) != obj["n_features"]:
+        raise ValueError("model key 'feature_names' does not have n_features entries")
     alphas = _array(obj, "alphas", float)
     sv_labels = _array(obj, "sv_labels", float)
     if len(sv_labels) != len(alphas):

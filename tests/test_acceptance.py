@@ -98,7 +98,7 @@ def test_criterion_3_footprint_example():
         curr = build_curr_sequences(events, start)
         seq = curr[(1, 1)]
         assert " ".join(t.name for t in seq.tokens) == "PL PA FW RCI PA Vf Po"
-        va, vp, fa, fp = ft.active_passive_proportions(seq)
+        va, vp, fa, fp = ft.active_passive_proportions(seq.tokens)
         assert abs(vp - 0.6) < 1e-12 and abs(va - 0.4) < 1e-12
         assert abs(fa - 0.5) < 1e-12 and abs(fp - 0.5) < 1e-12
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -136,6 +137,8 @@ class TestFeaturizeCommand:
             ('[1, 1.0, "PL"]', "not a JSON object"),
             ('{"sid":"abc","t":1.0,"token":"PL"}', "invalid literal"),
             ('{"sid":1,"t":null,"token":"PL"}', "float() argument"),
+            ('{"sid":1,"t":Infinity,"token":"PL"}', "t must be a finite number"),
+            ('{"sid":Infinity,"t":1.0,"token":"PL"}', "cannot convert float infinity"),
         ],
     )
     def test_malformed_event_line_exit_2(self, tmp_path, capsys, line, reason):
@@ -183,7 +186,7 @@ class TestTrainEvalCommands:
         ttest = json.loads(ttest_path.read_text())
         assert ttest["t"] == 0.0 and ttest["p"] == 1.0
 
-    @pytest.mark.parametrize("item", ["-1:5.0", "999999:1.0", "3=1.0"])
+    @pytest.mark.parametrize("item", ["-1:5.0", "999999:1.0", "3=1.0", "2:nan", "2:inf"])
     def test_bad_train_column_exit_2(self, tmp_path, featurized_dir, capsys, item):
         lines = (featurized_dir / "train.txt").read_text().splitlines()
         bad = tmp_path / "train.txt"
@@ -192,6 +195,15 @@ class TestTrainEvalCommands:
                    "--out", tmp_path / "m.json")
         assert code == cli.EXIT_BAD_INPUT
         assert json.loads(capsys.readouterr().err)["code"] == cli.EXIT_BAD_INPUT
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("gamma", ["0", "-1", "nan"])
+    def test_nonpositive_gamma_exit_2(self, tmp_path, featurized_dir, capsys, gamma):
+        code = run("train", "--train", featurized_dir / "train.txt", "--features",
+                   featurized_dir / "features.json", "--out", tmp_path / "m.json",
+                   "--svm-gamma", gamma)
+        assert code == cli.EXIT_BAD_INPUT
+        assert "gamma" in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "m.json").exists()
 
     def test_eval_rejects_renamed_features(self, tmp_path, featurized_dir, capsys):
@@ -289,8 +301,15 @@ class TestTrainEvalCommands:
                      "'sv_values'", id="short-sv_values"),
         pytest.param(lambda obj: dict(obj, alphas=[None] + obj["alphas"][1:]),
                      "'alphas'", id="null-alpha"),
+        pytest.param(lambda obj: dict(obj, alphas=[math.nan] + obj["alphas"][1:]),
+                     "'alphas'", id="nan-alpha"),
+        pytest.param(lambda obj: dict(obj, bias=math.inf), "'bias'", id="inf-bias"),
+        pytest.param(lambda obj: dict(obj, params=dict(obj["params"], gamma=-1.0)),
+                     "'gamma'", id="negative-gamma"),
         pytest.param(lambda obj: dict(obj, feature_names=[1, 2]),
                      "'feature_names'", id="int-feature_names"),
+        pytest.param(lambda obj: dict(obj, n_features=obj["n_features"] + 1),
+                     "'feature_names'", id="n_features-not-names"),
     ])
     def test_malformed_model_exit_2(self, tmp_path, featurized_dir, capsys, damage, key):
         model_path = tmp_path / "model.json"

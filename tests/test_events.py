@@ -10,6 +10,13 @@ from mooctrace import events as ev
 from mooctrace.events import ActivityToken as T
 
 
+class TestActivityToken:
+    def test_values_index_the_alphabet(self):
+        # Per-token lists in actgraph are indexed by the token itself.
+        assert [t.value for t in T] == list(range(15))
+        assert max(t.value for t in ev.VIDEO_TOKENS) < min(t.value for t in ev.FORUM_TOKENS)
+
+
 def click_stream(lines):
     return io.BytesIO(("\n".join(json.dumps(obj) for obj in lines)).encode())
 

@@ -45,12 +45,6 @@ class TestNgramFeatures:
             ft.ngram_features([T.PL], n_min=1, n_max=5)
 
 
-class TestSequenceLength:
-    @pytest.mark.parametrize("tokens,expected", [(MIXED_WEEK_SEQ, 7), ([], 0), ([T.PL], 1)])
-    def test_lengths(self, tokens, expected):
-        assert ft.sequence_length(tokens) == expected
-
-
 class TestProportions:
     def test_mixed_week_proportions(self):
         va, vp, fa, fp_ = ft.active_passive_proportions(MIXED_WEEK_SEQ)
@@ -74,23 +68,29 @@ class TestProportions:
             assert fa + fp_ in (0.0, 1.0) or abs(fa + fp_ - 1.0) < 1e-12
 
 
+def fit_and_apply(values, strategy):
+    """(bins, threshold) of a Dichotomizer fitted on values."""
+    d = ft.Dichotomizer.fit(values, strategy)
+    return [d.apply(v) for v in values], d.threshold
+
+
 class TestDichotomize:
     def test_equal_width_midpoint(self):
-        bins, threshold = ft.dichotomize([0.0, 0.2, 0.6, 1.0], "equal_width")
+        bins, threshold = fit_and_apply([0.0, 0.2, 0.6, 1.0], "equal_width")
         assert threshold == 0.5 and bins == [0, 0, 1, 1]
 
     def test_equal_frequency_lower_median(self):
-        bins, threshold = ft.dichotomize([1, 2, 3, 4], "equal_frequency")
+        bins, threshold = fit_and_apply([1, 2, 3, 4], "equal_frequency")
         assert threshold == 2 and bins == [0, 0, 1, 1]
 
     def test_constant_input_all_zero(self):
         for strategy in ("equal_width", "equal_frequency"):
-            bins, _ = ft.dichotomize([5, 5, 5], strategy)
+            bins, _ = fit_and_apply([5, 5, 5], strategy)
             assert bins == [0, 0, 0]
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            ft.dichotomize([1.0], "quartile")
+            ft.Dichotomizer.fit([1.0], "quartile")
 
     def test_fitted_reuse_on_unseen_values(self):
         d = ft.Dichotomizer.fit([0.0, 1.0], "equal_width")
@@ -114,6 +114,14 @@ THREE_WEEK_LAYOUT = {
     1: {1: [T.PL, T.PA], 2: [T.PL, T.Vf], 3: [T.Vt, T.Po, T.Vt]},
     2: {2: [T.Vt, T.Vt, T.Po]},
 }
+
+
+class TestSequenceLength:
+    @pytest.mark.parametrize("tokens,expected", [(MIXED_WEEK_SEQ, 7), ([T.PL], 1)])
+    def test_lengths(self, tokens, expected):
+        curr, tcurr = build_sequences({1: {1: tokens}})
+        ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.GRAPH)
+        assert ds.instances[0].features["ctl:seq_length"] == expected
 
 
 class TestAssembleDataset:
@@ -311,7 +319,13 @@ class TestMatrixRoundTrip:
         for row, fv in zip(X, train.instances):
             assert {name: row[col] for name, col in index.items() if row[col]} == fv.features
 
-    @pytest.mark.parametrize("item", ["5:1.0", "-1:5.0", "x:1.0", "1:abc", "3", "1.5:2.0"])
+    @pytest.mark.parametrize("item", ["5:1.0", "-1:5.0", "x:1.0", "1:abc", "3", "1.5:2.0",
+                                      "2:nan", "2:inf", "2:-inf", "2:1e400"])
     def test_read_sparse_rejects_bad_items(self, item):
         with pytest.raises(ValueError):
             ft.read_sparse(f"1 0:1.0 {item}\n", 5)
+
+    @pytest.mark.parametrize("label", ["5", "-1", "1.0", "nan"])
+    def test_read_sparse_rejects_bad_labels(self, label):
+        with pytest.raises(ValueError, match="row 2: label"):
+            ft.read_sparse(f"1 0:1.0\n{label} 0:1.0\n", 5)

@@ -103,11 +103,14 @@ class TestNominalActivityType:
             ([T.PL, T.PA], fp.NominalActivityType.VIDEO_ONLY),
             ([T.PL, T.Vf], fp.NominalActivityType.BOTH),
             ([T.Vt, T.Po], fp.NominalActivityType.FORUM_ONLY),
-            ([], fp.NominalActivityType.NONE),
         ],
     )
     def test_classification(self, tokens, expected):
         assert fp.nominal_activity_type(tokens) == expected
+
+    def test_empty_sequence_raises(self):
+        with pytest.raises(ValueError):
+            fp.nominal_activity_type([])
 
 
 TOKENS = st.sampled_from(list(T))

@@ -132,9 +132,10 @@ class TestGenerator:
         keys = sorted(curr)
         labels = [1 if week == last_week[sid] else 0 for sid, week in keys]
         densities = [
-            actgraph.density(actgraph.build_graph(curr[key])) for key in keys
+            actgraph.density(actgraph.build_graph(curr[key].tokens)) for key in keys
         ]
-        bins, _ = features.dichotomize(densities, "equal_frequency")
+        split = features.Dichotomizer.fit(densities, "equal_frequency")
+        bins = [split.apply(d) for d in densities]
         rows = dict(
             (cat, (n0, n1))
             for cat, n0, n1 in model.contingency_table([str(b) for b in bins], labels)
