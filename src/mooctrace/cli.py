@@ -247,10 +247,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     for name, ds in (("train", train), ("test", test)):
         write_jsonl_atomic(
             out / f"{name}_keys.jsonl",
-            (
-                {"sid": fv.instance_id[0], "courseweek": fv.instance_id[1]}
-                for fv in ds.instances
-            ),
+            (dict(zip(("sid", "courseweek"), fv.instance_id)) for fv in ds.instances),
         )
     selected = curr if cfg.setup == Setup.CURR else tcurr
     write_jsonl_atomic(

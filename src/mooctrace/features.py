@@ -3,16 +3,24 @@
 Instances are (student, courseweek) pairs under one setup. Three model
 families share the control variables: Baseline carries n-grams plus
 active/passive proportions, Graph carries structural graph metrics,
-Combined is their union. Thresholds (dichotomization, scaling, rare-feature
-support) are always fitted on training instances and reused on test.
+Combined is their union.
+
+assemble_dataset builds the raw feature rows; finalize_split makes them
+model-ready in one pass. It fits the dichotomizers and min-max scalers on the
+training instances only, then transforms each training row once, counts
+feature support over those rows, keeps the controls and the names that meet
+the rare threshold, and projects every train and test row onto that index as
+it builds it. export_sparse writes the finalized rows as `label idx:val` text.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -54,12 +62,12 @@ GRAPH_SCALED = ("graph:num_scc",)
 
 @dataclass(frozen=True)
 class FeatureVector:
-    instance_id: tuple[int, int, str]  # (student_id, courseweek, setup)
-    features: dict[str, float]         # sparse: absent means 0.0
+    instance_id: tuple[int, int]  # (student_id, courseweek)
+    features: dict[str, float]    # sparse: absent means 0.0
     label: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     instances: list[FeatureVector]
     setup: Setup
@@ -67,14 +75,13 @@ class Dataset:
     feature_index: dict[str, int] | None = None
 
 
-def ngram_features(tokens, n_min: int = 2, n_max: int = 5) -> dict[str, int]:
-    """Counts of contiguous n-token windows for each n in [n_min, n_max]."""
-    if not 2 <= n_min <= n_max:
-        raise ValueError("require 2 <= n_min <= n_max")
+def ngram_features(tokens) -> dict[str, int]:
+    """Counts of contiguous n-token windows for each n in 2..5."""
+    names = [t.name for t in tokens]
     counts: dict[str, int] = {}
-    for n in range(n_min, n_max + 1):
-        for i in range(len(tokens) - n + 1):
-            name = "ng:" + "_".join(t.name for t in tokens[i : i + n])
+    for n in range(2, 6):
+        for i in range(len(names) - n + 1):
+            name = "ng:" + "_".join(names[i : i + n])
             counts[name] = counts.get(name, 0) + 1
     return counts
 
@@ -193,7 +200,7 @@ def assemble_dataset(
     labels = dropout_labels(sequences)
     instances = [
         FeatureVector(
-            (sid, week, setup.value),
+            (sid, week),
             _instance_features(sequences[(sid, week)], model_family),
             labels[(sid, week)],
         )
@@ -220,111 +227,77 @@ def split_by_student(
     return make(train), make(test)
 
 
-@dataclass
-class FeatureTransforms:
-    """Train-fitted dichotomizers and min-max scalers, applied to any split."""
-
-    dichotomizers: dict[str, Dichotomizer] = field(default_factory=dict)
-    scalers: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-
-def fit_feature_transforms(train: Dataset) -> FeatureTransforms:
-    """Fit the per-family transforms on training instances only."""
+def _fit_value_maps(train: Dataset) -> dict[str, Callable[[float], float]]:
+    """Per-family dichotomizers and min-max scalers fitted on train, by name."""
     family = train.model_family
-    transforms = FeatureTransforms()
     if not train.instances:
-        return transforms
+        return {}
 
     def values(name: str) -> list[float]:
         return [fv.features.get(name, 0.0) for fv in train.instances]
 
-    if family in (ModelFamily.BASELINE, ModelFamily.COMBINED):
-        for name in PROP_FEATURES:
-            transforms.dichotomizers[name] = Dichotomizer.fit(
-                values(name), "equal_width"
-            )
-    if family in (ModelFamily.GRAPH, ModelFamily.COMBINED):
-        for name in GRAPH_EQ_FREQ:
-            transforms.dichotomizers[name] = Dichotomizer.fit(
-                values(name), "equal_frequency"
-            )
-    scaled = CTL_SCALED + (GRAPH_SCALED if family != ModelFamily.BASELINE else ())
-    for name in scaled:
+    def dichotomizer(name: str, strategy: str) -> Callable[[float], float]:
+        split = Dichotomizer.fit(values(name), strategy)
+        return lambda v: float(split.apply(v))
+
+    def scaler(name: str) -> Callable[[float], float]:
         vals = values(name)
-        transforms.scalers[name] = (min(vals), max(vals))
-    return transforms
+        lo, hi = min(vals), max(vals)
+        return lambda v: (v - lo) / (hi - lo) if hi > lo else 0.0
 
-
-def apply_transforms(dataset: Dataset, transforms: FeatureTransforms) -> Dataset:
-    """Dichotomize/scale feature values; zero results leave the sparse map."""
-    out = []
-    for fv in dataset.instances:
-        feats: dict[str, float] = {}
-        for name, value in fv.features.items():
-            if name in transforms.dichotomizers:
-                value = float(transforms.dichotomizers[name].apply(value))
-            elif name in transforms.scalers:
-                lo, hi = transforms.scalers[name]
-                value = (value - lo) / (hi - lo) if hi > lo else 0.0
-            if value:
-                feats[name] = value
-        out.append(FeatureVector(fv.instance_id, feats, fv.label))
-    return Dataset(out, dataset.setup, dataset.model_family, dataset.feature_index)
-
-
-def apply_rare_threshold(
-    train: Dataset, threshold: int = 4
-) -> tuple[Dataset, frozenset[str]]:
-    """Drop features nonzero in fewer than `threshold` training instances.
-
-    Control variables ("ctl:" namespace) are exempt. Returns the filtered
-    training set and the retained feature-name set to apply to test data.
-    """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    support: dict[str, int] = {}
-    for fv in train.instances:
-        for name, value in fv.features.items():
-            if value:
-                support[name] = support.get(name, 0) + 1
-    retained = frozenset(
-        name
-        for name in support
-        if name.startswith("ctl:") or support[name] >= threshold
-    )
-    return restrict_to_features(train, retained), retained
-
-
-def restrict_to_features(dataset: Dataset, retained: frozenset[str]) -> Dataset:
-    """Project instances onto a feature-name set (unseen names drop to zero)."""
-    out = [
-        FeatureVector(
-            fv.instance_id,
-            {n: v for n, v in fv.features.items() if n in retained},
-            fv.label,
-        )
-        for fv in dataset.instances
-    ]
-    return Dataset(out, dataset.setup, dataset.model_family, dataset.feature_index)
-
-
-def build_feature_index(names: frozenset[str]) -> dict[str, int]:
-    return {name: i for i, name in enumerate(sorted(names))}
+    maps = {}
+    if family in (ModelFamily.BASELINE, ModelFamily.COMBINED):
+        maps.update((name, dichotomizer(name, "equal_width")) for name in PROP_FEATURES)
+    if family in (ModelFamily.GRAPH, ModelFamily.COMBINED):
+        maps.update((name, dichotomizer(name, "equal_frequency")) for name in GRAPH_EQ_FREQ)
+    scaled = CTL_SCALED + (GRAPH_SCALED if family != ModelFamily.BASELINE else ())
+    maps.update((name, scaler(name)) for name in scaled)
+    return maps
 
 
 def finalize_split(
     train: Dataset, test: Dataset, rare_threshold: int = 4
 ) -> tuple[Dataset, Dataset]:
-    """Fit transforms and the rare threshold on train; apply to both splits."""
-    transforms = fit_feature_transforms(train)
-    train = apply_transforms(train, transforms)
-    test = apply_transforms(test, transforms)
-    train, retained = apply_rare_threshold(train, rare_threshold)
-    test = restrict_to_features(test, retained)
-    index = build_feature_index(retained)
-    train.feature_index = index
-    test.feature_index = index
-    return train, test
+    """Transform both splits with train-fitted maps and project them onto one index.
+
+    Dichotomizers and scalers are fitted on train only. A feature is kept
+    when it is a control ("ctl:") or nonzero in at least `rare_threshold`
+    transformed training instances; the index numbers the kept names in
+    sorted order. Finalized rows hold only indexed nonzero values.
+    """
+    if rare_threshold < 0:
+        raise ValueError("threshold must be >= 0")
+    maps = _fit_value_maps(train)
+
+    def transform(features: dict[str, float]) -> dict[str, float]:
+        row = {}
+        for name, value in features.items():
+            if name in maps:
+                value = maps[name](value)
+            if value:
+                row[name] = value
+        return row
+
+    train_rows = [transform(fv.features) for fv in train.instances]
+    support = Counter(name for row in train_rows for name in row)
+    kept = (n for n, k in support.items() if n.startswith("ctl:") or k >= rare_threshold)
+    index = {name: i for i, name in enumerate(sorted(kept))}
+    train_out = [
+        FeatureVector(fv.instance_id, {n: v for n, v in row.items() if n in index}, fv.label)
+        for fv, row in zip(train.instances, train_rows)
+    ]
+    test_out = [
+        FeatureVector(
+            fv.instance_id,
+            {n: v for n, v in transform(fv.features).items() if n in index},
+            fv.label,
+        )
+        for fv in test.instances
+    ]
+    return (
+        Dataset(train_out, train.setup, train.model_family, index),
+        Dataset(test_out, test.setup, test.model_family, index),
+    )
 
 
 def build_model_datasets(
@@ -348,9 +321,7 @@ def export_sparse(dataset: Dataset) -> str:
     index = dataset.feature_index
     lines = []
     for fv in dataset.instances:
-        cols = sorted(
-            (index[n], v) for n, v in fv.features.items() if n in index and v
-        )
+        cols = sorted((index[n], v) for n, v in fv.features.items())
         parts = [str(fv.label)] + [f"{i}:{v!r}" for i, v in cols]
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
@@ -360,8 +331,9 @@ def read_sparse(text: str, n_features: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse export_sparse output back into dense arrays.
 
     Raises ValueError on a label other than 0 or 1, on an item that is not
-    `int:float`, on a value that is not finite, or on a column index outside
-    [0, n_features).
+    `int:float`, on a value that is not finite, on a column index outside
+    [0, n_features), or on a row whose squared norm overflows (the RBF kernel
+    of such a row is NaN).
     """
     rows = [line for line in text.splitlines() if line.strip()]
     X = np.zeros((len(rows), n_features))
@@ -380,5 +352,8 @@ def read_sparse(text: str, n_features: int) -> tuple[np.ndarray, np.ndarray]:
             if not math.isfinite(x):
                 raise ValueError(f"row {r + 1}: column {c} value {value!r} is not finite")
             X[r, c] = x
+    finite = np.isfinite(np.einsum("ij,ij->i", X, X))
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite)) + 1}: squared norm is not finite")
     return X, y
 

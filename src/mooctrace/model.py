@@ -136,6 +136,9 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
     # feature. Gathering costs about three times a full pass per entry, so a
     # row with a quarter or more of its features nonzero takes the full pass.
     sq = _sq_norms(X)
+    finite = np.isfinite(sq)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))} of X: squared norm is not finite")
     X_cols = np.asfortranarray(X)
 
     @functools.lru_cache(maxsize=max(64, min(n, 2048)))
@@ -502,6 +505,8 @@ def _support_vectors(obj: dict, n_sv: int) -> np.ndarray:
         raise ValueError("model key 'sv_indices' has a column outside [0, n_features)")
     sv = np.zeros((n_sv, n_features))
     sv[np.repeat(np.arange(n_sv), np.diff(indptr)), indices] = values
+    if not np.isfinite(_sq_norms(sv)).all():
+        raise ValueError("model key 'sv_values' gives a support vector a non-finite norm")
     return sv
 
 

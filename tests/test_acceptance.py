@@ -257,8 +257,9 @@ _COMPARED_FILES = (
 
 def test_criterion_8_pipeline_determinism(tmp_path):
     with criterion(8, "two pipeline runs are byte-identical (fresh processes)"):
+        src = Path(ft.__file__).resolve().parents[1]
         for tag, hashseed in (("a", "1"), ("b", "31337")):
-            env = dict(os.environ, PYTHONHASHSEED=hashseed)
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=str(src))
             base = tmp_path / tag
             base.mkdir()
             result = subprocess.run(

@@ -186,7 +186,8 @@ class TestTrainEvalCommands:
         ttest = json.loads(ttest_path.read_text())
         assert ttest["t"] == 0.0 and ttest["p"] == 1.0
 
-    @pytest.mark.parametrize("item", ["-1:5.0", "999999:1.0", "3=1.0", "2:nan", "2:inf"])
+    @pytest.mark.parametrize("item", ["-1:5.0", "999999:1.0", "3=1.0", "2:nan", "2:inf",
+                                      "2:1e200"])
     def test_bad_train_column_exit_2(self, tmp_path, featurized_dir, capsys, item):
         lines = (featurized_dir / "train.txt").read_text().splitlines()
         bad = tmp_path / "train.txt"
@@ -299,6 +300,8 @@ class TestTrainEvalCommands:
                      "'sv_indices'", id="negative-column"),
         pytest.param(lambda obj: dict(obj, sv_values=obj["sv_values"][:-1]),
                      "'sv_values'", id="short-sv_values"),
+        pytest.param(lambda obj: dict(obj, sv_values=[1e200] + obj["sv_values"][1:]),
+                     "'sv_values'", id="huge-sv_value"),
         pytest.param(lambda obj: dict(obj, alphas=[None] + obj["alphas"][1:]),
                      "'alphas'", id="null-alpha"),
         pytest.param(lambda obj: dict(obj, alphas=[math.nan] + obj["alphas"][1:]),

@@ -29,8 +29,9 @@ class TestNgramFeatures:
         assert sum(counts.values()) == 6 + 5 + 4 + 3
 
     def test_repeats_counted(self):
-        counts = ft.ngram_features([T.Vt, T.Po, T.Vt, T.Po], n_min=2, n_max=2)
-        assert counts["ng:Vt_Po"] == 2 and counts["ng:Po_Vt"] == 1
+        counts = ft.ngram_features([T.Vt, T.Po, T.Vt, T.Po])
+        bigrams = {name: c for name, c in counts.items() if name.count("_") == 1}
+        assert bigrams == {"ng:Vt_Po": 2, "ng:Po_Vt": 1}
 
     def test_window_total_identity(self):
         rng = random.Random(3)
@@ -39,10 +40,6 @@ class TestNgramFeatures:
             tokens = [rng.choice(list(T)) for _ in range(length)]
             total = sum(ft.ngram_features(tokens).values())
             assert total == (length - 1) + (length - 2) + (length - 3) + (length - 4)
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            ft.ngram_features([T.PL], n_min=1, n_max=5)
 
 
 class TestProportions:
@@ -128,7 +125,7 @@ class TestAssembleDataset:
     def test_labels_mark_last_participation_week(self):
         curr, tcurr = build_sequences(THREE_WEEK_LAYOUT)
         ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.BASELINE)
-        labels = {fv.instance_id[:2]: fv.label for fv in ds.instances}
+        labels = {fv.instance_id: fv.label for fv in ds.instances}
         assert labels == {(1, 1): 0, (1, 2): 0, (1, 3): 1, (2, 2): 1}
 
     def test_dropout_labels_any_key_order(self):
@@ -212,8 +209,12 @@ class TestSplitByStudent:
 
 
 class TestRareThreshold:
-    def make_dataset(self, supports):
-        # Feature f{k} is nonzero in `supports[k]` instances.
+    def finalized_train(self, supports, threshold):
+        """Train split finalized with an empty test split.
+
+        Feature ng:f{k} is 1.0 in `supports[k]` of the instances; ctl:courseweek
+        is positive in all of them and scales to 0.0 (dropped) in the first.
+        """
         n = max(supports) + 1
         instances = []
         for row in range(n):
@@ -221,42 +222,53 @@ class TestRareThreshold:
             for k, support in enumerate(supports):
                 if row < support:
                     feats[f"ng:f{k}"] = 1.0
-            instances.append(ft.FeatureVector((row, 1, "curr"), feats, row % 2))
-        return ft.Dataset(instances, Setup.CURR, ft.ModelFamily.BASELINE)
+            instances.append(ft.FeatureVector((row, 1), feats, row % 2))
+        make = lambda inst: ft.Dataset(inst, Setup.CURR, ft.ModelFamily.BASELINE)
+        train, test = ft.finalize_split(make(instances), make([]), threshold)
+        assert test.instances == [] and test.feature_index == train.feature_index
+        return instances, train
 
     def test_support_threshold(self):
-        ds = self.make_dataset(list(range(1, 11)))
-        filtered, retained = ft.apply_rare_threshold(ds, 4)
-        ng = {n for n in retained if n.startswith("ng:")}
-        assert len(ng) == 7  # supports 4..10 survive
-        assert "ctl:courseweek" in retained
+        _, train = self.finalized_train(list(range(1, 11)), 4)
+        ng = [n for n in train.feature_index if n.startswith("ng:")]
+        assert ng == [f"ng:f{k}" for k in range(3, 10)]  # supports 4..10 survive
+        assert train.feature_index["ctl:courseweek"] == 0
+        for fv in train.instances:
+            assert set(fv.features) <= set(train.feature_index)
 
     def test_threshold_zero_is_identity(self):
-        ds = self.make_dataset([1, 2, 3])
-        filtered, retained = ft.apply_rare_threshold(ds, 0)
-        assert retained == frozenset({"ctl:courseweek", "ng:f0", "ng:f1", "ng:f2"})
+        raw, train = self.finalized_train([1, 2, 3], 0)
+        assert train.feature_index == {
+            "ctl:courseweek": 0, "ng:f0": 1, "ng:f1": 2, "ng:f2": 3,
+        }
+        for before, after in zip(raw, train.instances):
+            assert {n: v for n, v in after.features.items() if n.startswith("ng:")} == {
+                n: v for n, v in before.features.items() if n.startswith("ng:")
+            }
 
     def test_below_threshold_dropped_from_instances(self):
-        ds = self.make_dataset([3, 5])
-        filtered, retained = ft.apply_rare_threshold(ds, 4)
-        assert "ng:f0" not in retained
-        assert all("ng:f0" not in fv.features for fv in filtered.instances)
+        _, train = self.finalized_train([3, 5], 4)
+        assert "ng:f0" not in train.feature_index
+        assert all("ng:f0" not in fv.features for fv in train.instances)
+        assert sum("ng:f1" in fv.features for fv in train.instances) == 5
 
     def test_controls_exempt(self):
-        ds = self.make_dataset([10])
-        _, retained = ft.apply_rare_threshold(ds, 99)
-        assert "ctl:courseweek" in retained and "ng:f0" not in retained
+        _, train = self.finalized_train([10], 99)
+        assert train.feature_index == {"ctl:courseweek": 0}
+        assert [fv.features for fv in train.instances] == [{}] + [
+            {"ctl:courseweek": row / 10} for row in range(1, 11)
+        ]
 
 
 class TestFinalizeSplit:
+    LAYOUT = {
+        1: {1: [T.PL, T.PA, T.PL], 2: [T.PL, T.Vf, T.Vt]},
+        2: {1: [T.Vt, T.Vt, T.Po], 3: [T.PL]},
+        800000: {1: [T.PL, T.FW, T.PL], 2: [T.Po, T.Vt]},
+    }
+
     def finalized(self, setup=Setup.CURR, family=ft.ModelFamily.COMBINED):
-        curr, tcurr = build_sequences(
-            {
-                1: {1: [T.PL, T.PA, T.PL], 2: [T.PL, T.Vf, T.Vt]},
-                2: {1: [T.Vt, T.Vt, T.Po], 3: [T.PL]},
-                800000: {1: [T.PL, T.FW, T.PL], 2: [T.Po, T.Vt]},
-            }
-        )
+        curr, tcurr = build_sequences(self.LAYOUT)
         ds = ft.assemble_dataset(curr, tcurr, setup, family)
         train, test = ft.split_by_student(ds, 798619, 1882807)
         return ft.finalize_split(train, test, rare_threshold=0)
@@ -280,24 +292,19 @@ class TestFinalizeSplit:
                 assert 0.0 <= fv.features.get(name, 0.0) <= 1.0
 
     def test_thresholds_fit_on_train_only(self):
-        # Refitting transforms on train must reproduce the same test output.
+        # A test instance with extreme controls and new names changes nothing
+        # that finalize_split fits, nor any other row.
         train, test = self.finalized()
-        curr, tcurr = build_sequences(
-            {
-                1: {1: [T.PL, T.PA, T.PL], 2: [T.PL, T.Vf, T.Vt]},
-                2: {1: [T.Vt, T.Vt, T.Po], 3: [T.PL]},
-                800000: {1: [T.PL, T.FW, T.PL], 2: [T.Po, T.Vt]},
-            }
-        )
+        curr, tcurr = build_sequences({**self.LAYOUT, 900000: {40: [T.Po, T.FW] * 15}})
         ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.COMBINED)
-        train_raw, test_raw = ft.split_by_student(ds, 798619, 1882807)
-        transforms = ft.fit_feature_transforms(train_raw)
-        test_again = ft.apply_transforms(test_raw, transforms)
-        test_again = ft.restrict_to_features(
-            test_again, frozenset(test.feature_index)
+        train_b, test_b = ft.finalize_split(
+            *ft.split_by_student(ds, 798619, 1882807), rare_threshold=0
         )
-        assert [fv.features for fv in test_again.instances] == [
-            fv.features for fv in test.instances
+        assert train_b.feature_index == train.feature_index
+        assert train_b.instances == train.instances
+        assert test_b.instances[: len(test.instances)] == test.instances
+        assert [fv.instance_id for fv in test_b.instances[len(test.instances) :]] == [
+            (900000, 40)
         ]
 
     def test_export_reproducible(self):
@@ -305,6 +312,55 @@ class TestFinalizeSplit:
         train_b, test_b = self.finalized()
         assert ft.export_sparse(train_a) == ft.export_sparse(train_b)
         assert ft.export_sparse(test_a) == ft.export_sparse(test_b)
+
+    CTL_NAMES = [
+        "ctl:courseweek", "ctl:nominal=both", "ctl:nominal=forum_only",
+        "ctl:nominal=video_only", "ctl:seq_length", "ctl:userweek",
+    ]
+    GOLDEN = {
+        ft.ModelFamily.BASELINE: (
+            "0 3:1.0 4:1.0 7:1.0\n"
+            "1 0:0.5 1:1.0 4:1.0 5:0.5 6:1.0 7:1.0\n"
+            "0 2:1.0 4:1.0 6:1.0\n"
+            "1 0:1.0 3:1.0 5:1.0 7:1.0\n",
+            "0 3:1.0 4:1.0 7:1.0\n"
+            "1 0:0.5 2:1.0 4:0.5 5:0.5 6:1.0\n",
+            CTL_NAMES + ["prop:forum_passive", "prop:video_passive"],
+        ),
+        ft.ModelFamily.GRAPH: (
+            "0 3:1.0 4:1.0 6:1.0 8:1.0\n"
+            "1 0:0.5 1:1.0 4:1.0 5:0.5 7:1.0 9:1.0\n"
+            "0 2:1.0 4:1.0 6:1.0 7:0.5 9:1.0\n"
+            "1 0:1.0 3:1.0 5:1.0 8:1.0\n",
+            "0 3:1.0 4:1.0 6:1.0 8:1.0\n"
+            "1 0:0.5 2:1.0 4:0.5 5:0.5 6:1.0 7:0.5\n",
+            CTL_NAMES + ["graph:density", "graph:num_scc", "graph:top1=PL", "graph:top2=Vt"],
+        ),
+        ft.ModelFamily.COMBINED: (
+            "0 3:1.0 4:1.0 6:1.0 8:1.0 11:1.0\n"
+            "1 0:0.5 1:1.0 4:1.0 5:0.5 7:1.0 9:1.0 10:1.0 11:1.0\n"
+            "0 2:1.0 4:1.0 6:1.0 7:0.5 9:1.0 10:1.0\n"
+            "1 0:1.0 3:1.0 5:1.0 8:1.0 11:1.0\n",
+            "0 3:1.0 4:1.0 6:1.0 8:1.0 11:1.0\n"
+            "1 0:0.5 2:1.0 4:0.5 5:0.5 6:1.0 7:0.5 10:1.0\n",
+            CTL_NAMES + ["graph:density", "graph:num_scc", "graph:top1=PL", "graph:top2=Vt",
+                         "prop:forum_passive", "prop:video_passive"],
+        ),
+    }
+
+    @pytest.mark.parametrize("family", list(ft.ModelFamily))
+    def test_golden_export(self, family):
+        # Every n-gram and the test-only FW features fall below support 2.
+        curr, tcurr = build_sequences(self.LAYOUT)
+        ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, family)
+        train, test = ft.finalize_split(
+            *ft.split_by_student(ds, 798619, 1882807), rare_threshold=2
+        )
+        train_text, test_text, names = self.GOLDEN[family]
+        assert ft.export_sparse(train) == train_text
+        assert ft.export_sparse(test) == test_text
+        assert train.feature_index == {name: i for i, name in enumerate(names)}
+        assert test.feature_index == train.feature_index
 
 
 class TestMatrixRoundTrip:
@@ -320,7 +376,7 @@ class TestMatrixRoundTrip:
             assert {name: row[col] for name, col in index.items() if row[col]} == fv.features
 
     @pytest.mark.parametrize("item", ["5:1.0", "-1:5.0", "x:1.0", "1:abc", "3", "1.5:2.0",
-                                      "2:nan", "2:inf", "2:-inf", "2:1e400"])
+                                      "2:nan", "2:inf", "2:-inf", "2:1e400", "2:1e200"])
     def test_read_sparse_rejects_bad_items(self, item):
         with pytest.raises(ValueError):
             ft.read_sparse(f"1 0:1.0 {item}\n", 5)
