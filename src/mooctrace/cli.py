@@ -3,25 +3,30 @@
 Configuration comes from an optional flat key=value file plus flags (flags
 win). Every command writes files atomically, exits nonzero on error, and
 puts a machine-readable JSON error on stderr.
+
+Each command loads only what its own work needs. ``mooctrace.model``, and
+with it numpy, is imported inside train, eval and report, so synth, ingest
+and featurize never load numpy; only ``eval --model-file-b`` loads
+``scipy.stats``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from mooctrace import actgraph, features, model as svm, synth
+from mooctrace import actgraph, features, synth
 from mooctrace.events import (
     encode_events,
     event_from_json_obj,
-    event_to_json_obj,
+    events_to_jsonl,
     filter_valid_videos,
     parse_clickstream_log,
     parse_forum_log,
@@ -34,6 +39,11 @@ from mooctrace.footprint import (
     nominal_activity_type,
     sequence_to_json_obj,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from mooctrace import model as svm
 
 EXIT_BAD_INPUT = 2
 EXIT_EMPTY_EVENTS = 3
@@ -65,6 +75,8 @@ class PipelineConfig:
     cost1: float | None = None
 
     def svm_params(self) -> svm.SvmParams:
+        from mooctrace import model as svm
+
         class_cost = None
         if self.cost0 is not None and self.cost1 is not None:
             class_cost = {0: self.cost0, 1: self.cost1}
@@ -140,8 +152,13 @@ def write_text_atomic(path: Path, text: str) -> None:
         raise
 
 
+# One encoder for every line: json.dumps(o, sort_keys=True) builds a new one
+# per call, with the same output.
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_jsonl_atomic(path: Path, objs) -> None:
-    write_text_atomic(path, "".join(json.dumps(o, sort_keys=True) + "\n" for o in objs))
+    write_text_atomic(path, "".join(_encode_sorted(o) + "\n" for o in objs))
 
 
 def _read_events(path: str):
@@ -202,7 +219,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     events, dropped_equal_rate = encode_events(valid_clicks, raw_forums)
 
     out = Path(args.out_dir)
-    write_jsonl_atomic(out / "events.jsonl", (event_to_json_obj(e) for e in events))
+    write_text_atomic(out / "events.jsonl", events_to_jsonl(events))
     diag_objs = [dict(d.to_json_obj(), source="clickstream") for d in click_diags]
     diag_objs += [dict(d.to_json_obj(), source="forum") for d in forum_diags]
     write_jsonl_atomic(out / "diagnostics.jsonl", diag_objs)
@@ -291,6 +308,8 @@ def _warn_if_unconverged(trained: svm.TrainedModel) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from mooctrace import model as svm
+
     cfg = build_config(args)
     (X, y), names = _load_matrix(args.train, args.features)
     if len(set(y.tolist())) < 2:
@@ -307,6 +326,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _evaluate_model(model_path: str, X: np.ndarray, y: np.ndarray, names: tuple):
+    from mooctrace import model as svm
+
     try:
         trained = svm.load_model(Path(model_path).read_text())
     except OSError as exc:
@@ -324,6 +345,8 @@ def _evaluate_model(model_path: str, X: np.ndarray, y: np.ndarray, names: tuple)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from mooctrace import model as svm
+
     (X, y), names = _load_matrix(args.test, args.features)
     if len(y) == 0:
         raise CommandError(EXIT_EMPTY_EVENTS, "test split is empty")
@@ -340,7 +363,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         correct_a = [int(p == t) for p, t in zip(predictions, y)]
         correct_b = [int(p == t) for p, t in zip(predictions_b, y)]
         t_stat, p_value, df = svm.paired_ttest(correct_a, correct_b)
-        t_json = t_stat if np.isfinite(t_stat) else ("inf" if t_stat > 0 else "-inf")
+        t_json = t_stat if math.isfinite(t_stat) else ("inf" if t_stat > 0 else "-inf")
         obj = {
             "t": t_json,
             "p": p_value,
@@ -399,6 +422,10 @@ def _analysis_columns(sequences, graph_metrics):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    # interaction_gain_ranking and contingency_table live in model, so report
+    # loads numpy too.
+    from mooctrace import model as svm
+
     cfg = build_config(args)
     events = _read_events(args.events)
     if not events:

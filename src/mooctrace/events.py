@@ -3,7 +3,13 @@
 Input logs are JSON-lines. Clickstream lines carry ``sid``, ``t``, ``vid``,
 ``kind`` and, depending on kind, ``dir`` (seek) or ``rate`` (ratechange).
 Forum lines carry ``sid``, ``t``, ``kind``. Parsing is lenient: malformed
-lines become per-line diagnostics instead of aborting the run.
+lines become per-line diagnostics instead of aborting the run: bad JSON
+(including an integer literal past Python's digit limit), a missing or
+mistyped field, and a ``t`` or ``rate`` too large for a float.
+
+``events_to_jsonl`` writes encoded events as fixed-format JSON lines, the
+same bytes ``json.dumps(obj, sort_keys=True)`` gives for each event the
+parsers can produce, without building a dict or an encoder per event.
 
 Tokens are ints: ``ActivityToken`` is an ``IntEnum`` over 0..14, so a token is
 its own index into per-token lists, and tokens sort by value (video first).
@@ -128,6 +134,14 @@ def _iter_text_lines(stream: IO | Iterable) -> Iterable[tuple[int, str | None, s
             yield line_no, raw, None
 
 
+def _to_float(x: int | float) -> float:
+    """float(x), with an int beyond float range (such as 10**400) read as inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _parse_common(obj: dict) -> tuple[int, float]:
     """Validate and extract the sid/t fields shared by both log kinds."""
     if "sid" not in obj:
@@ -140,7 +154,7 @@ def _parse_common(obj: dict) -> tuple[int, float]:
     t = obj["t"]
     if isinstance(t, bool) or not isinstance(t, (int, float)):
         raise ValueError("t must be a number")
-    t = float(t)
+    t = _to_float(t)
     if not math.isfinite(t) or t < 0:
         raise ValueError("t must be a finite non-negative number")
     return sid, t
@@ -170,7 +184,7 @@ def _parse_click_line(obj: dict) -> RawClickEvent:
             raise ValueError("ratechange missing rate")
         if isinstance(rate, bool) or not isinstance(rate, (int, float)):
             raise ValueError("rate must be a number")
-        rate = float(rate)
+        rate = _to_float(rate)
         if not math.isfinite(rate) or rate <= 0:
             raise ValueError("rate must be a positive number")
     return RawClickEvent(sid, vid, t, kind, direction, rate)
@@ -195,8 +209,9 @@ def _parse_log(stream, parse_line) -> tuple[list, list[ParseDiagnostic]]:
             continue
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            diagnostics.append(ParseDiagnostic(line_no, f"invalid JSON: {exc.msg}"))
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+            msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+            diagnostics.append(ParseDiagnostic(line_no, f"invalid JSON: {msg}"))
             continue
         if not isinstance(obj, dict):
             diagnostics.append(ParseDiagnostic(line_no, "line is not a JSON object"))
@@ -344,8 +359,17 @@ def encode_events(
     return encoded, dropped
 
 
-def event_to_json_obj(ev: Event) -> dict:
-    return {"sid": ev.student_id, "t": ev.timestamp, "token": ev.token.name}
+def events_to_jsonl(events: Iterable[Event]) -> str:
+    """One `{"sid": ..., "t": ..., "token": ...}` line per event.
+
+    Equal to ``json.dumps(obj, sort_keys=True)`` plus a newline for every
+    event the parsers produce: an int sid, and a finite float t, which
+    ``repr`` writes as json does.
+    """
+    return "".join(
+        f'{{"sid": {e.student_id}, "t": {e.timestamp!r}, "token": "{e.token.name}"}}\n'
+        for e in events
+    )
 
 
 def event_from_json_obj(obj: dict) -> Event:

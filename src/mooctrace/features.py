@@ -20,9 +20,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from mooctrace import actgraph
 from mooctrace.events import (
@@ -34,6 +32,9 @@ from mooctrace.events import (
     VIDEO_TOKENS,
 )
 from mooctrace.footprint import FootprintSequence, Setup, nominal_activity_type
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ModelFamily(str, Enum):
@@ -331,10 +332,13 @@ def read_sparse(text: str, n_features: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse export_sparse output back into dense arrays.
 
     Raises ValueError on a label other than 0 or 1, on an item that is not
-    `int:float`, on a value that is not finite, on a column index outside
-    [0, n_features), or on a row whose squared norm overflows (the RBF kernel
-    of such a row is NaN).
+    `int:float`, on a column index outside [0, n_features), on a value that
+    is not finite, on a column that does not ascend strictly within its row
+    (a repeat would silently overwrite a value), or on a row whose squared
+    norm overflows (the RBF kernel of such a row is NaN).
     """
+    import numpy as np  # here, so that featurize, which only writes text, never loads it
+
     rows = [line for line in text.splitlines() if line.strip()]
     X = np.zeros((len(rows), n_features))
     y = np.zeros(len(rows), dtype=int)
@@ -343,6 +347,7 @@ def read_sparse(text: str, n_features: int) -> tuple[np.ndarray, np.ndarray]:
         if parts[0] not in ("0", "1"):
             raise ValueError(f"row {r + 1}: label {parts[0]!r} is not 0 or 1")
         y[r] = int(parts[0])
+        prev = -1
         for item in parts[1:]:
             col, _, value = item.partition(":")
             c = int(col)
@@ -351,6 +356,12 @@ def read_sparse(text: str, n_features: int) -> tuple[np.ndarray, np.ndarray]:
             x = float(value)
             if not math.isfinite(x):
                 raise ValueError(f"row {r + 1}: column {c} value {value!r} is not finite")
+            if c <= prev:
+                raise ValueError(
+                    f"row {r + 1}: column {c} after column {prev}; "
+                    "columns must ascend strictly"
+                )
+            prev = c
             X[r, c] = x
     finite = np.isfinite(np.einsum("ij,ij->i", X, X))
     if not finite.all():

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mooctrace import events as ev
@@ -66,6 +66,27 @@ class TestParseClickstream:
         parsed, diags = ev.parse_clickstream_log(click_stream([obj]))
         assert parsed == []
         assert fragment in diags[0].reason
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('{"sid": 1, "t": 1%s, "vid": "v", "kind": "play"}' % ("0" * 400),
+             "t must be a finite non-negative number"),
+            ('{"sid": 1, "t": 2, "vid": "v", "kind": "ratechange", "rate": 1%s}' % ("0" * 400),
+             "rate must be a positive number"),
+            # Past Python's int digit limit json.loads raises a plain ValueError.
+            ('{"sid": %s, "t": 2, "vid": "v", "kind": "play"}' % ("1" * 5000),
+             "invalid JSON: Exceeds the limit"),
+        ],
+        ids=["huge-t", "huge-rate", "sid-past-digit-limit"],
+    )
+    def test_out_of_range_number_is_one_diagnostic(self, line, reason):
+        good = '{"sid": 1, "t": %d, "vid": "v", "kind": "play"}'
+        text = "\n".join([good % 1, line, good % 3]) + "\n"
+        parsed, diags = ev.parse_clickstream_log(io.BytesIO(text.encode()))
+        assert [e.timestamp for e in parsed] == [1.0, 3.0]
+        assert [d.line_no for d in diags] == [2]
+        assert diags[0].reason.startswith(reason)
 
     def test_invalid_json_line(self):
         parsed, diags = ev.parse_clickstream_log(io.BytesIO(b"{nope\n"))
@@ -292,6 +313,20 @@ class TestEncodeEvents:
         ]
         assert dropped == 0
 
-    def test_json_roundtrip(self):
-        e = ev.Event(3, 12.5, T.Vt)
-        assert ev.event_from_json_obj(ev.event_to_json_obj(e)) == e
+    @given(
+        sid=st.integers() | st.integers(min_value=2**63, max_value=2**200),
+        t=st.just(-0.0) | st.floats(min_value=0.0, allow_infinity=False),
+        token=st.sampled_from(T),
+    )
+    @example(sid=2**63 + 1, t=-0.0, token=T.PL)
+    @example(sid=-1, t=5e-324, token=T.Vt)
+    @example(sid=0, t=1e16, token=T.RCD)
+    @example(sid=7, t=1.7976931348623157e308, token=T.Th)
+    @settings(max_examples=200, deadline=None)
+    def test_json_roundtrip(self, sid, t, token):
+        e = ev.Event(sid, t, token)
+        line = ev.events_to_jsonl([e])
+        expected = {"sid": sid, "t": t, "token": token.name}
+        assert line == json.dumps(expected, sort_keys=True) + "\n"
+        back = ev.event_from_json_obj(json.loads(line))
+        assert back == e and ev.events_to_jsonl([back]) == line

@@ -376,7 +376,8 @@ class TestMatrixRoundTrip:
             assert {name: row[col] for name, col in index.items() if row[col]} == fv.features
 
     @pytest.mark.parametrize("item", ["5:1.0", "-1:5.0", "x:1.0", "1:abc", "3", "1.5:2.0",
-                                      "2:nan", "2:inf", "2:-inf", "2:1e400", "2:1e200"])
+                                      "2:nan", "2:inf", "2:-inf", "2:1e400", "2:1e200",
+                                      "0:2.0", "3:1.0 2:1.0"])
     def test_read_sparse_rejects_bad_items(self, item):
         with pytest.raises(ValueError):
             ft.read_sparse(f"1 0:1.0 {item}\n", 5)
