@@ -7,7 +7,8 @@ puts a machine-readable JSON error on stderr.
 Each command loads only what its own work needs. ``mooctrace.model``, and
 with it numpy, is imported inside train, eval and report, so synth, ingest
 and featurize never load numpy; only ``eval --model-file-b`` loads
-``scipy.stats``.
+``scipy.stats``. ``mooctrace.synth`` is imported inside synth, and
+``mooctrace.actgraph`` inside report and featurize's graph features.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from mooctrace import actgraph, features, synth
+from mooctrace import features
 from mooctrace.events import (
     encode_events,
-    event_from_json_obj,
+    events_from_jsonl,
     events_to_jsonl,
     filter_valid_videos,
     parse_clickstream_log,
@@ -37,7 +38,7 @@ from mooctrace.footprint import (
     build_curr_sequences,
     build_tcurr_sequences,
     nominal_activity_type,
-    sequence_to_json_obj,
+    sequences_to_jsonl,
 )
 
 if TYPE_CHECKING:
@@ -163,31 +164,21 @@ def write_jsonl_atomic(path: Path, objs) -> None:
 
 def _read_events(path: str):
     try:
-        lines = Path(path).read_text().splitlines()
+        text = Path(path).read_text()
     except OSError as exc:
         raise CommandError(EXIT_BAD_INPUT, f"cannot read events: {exc}") from exc
-    events = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise ValueError("not a JSON object")
-            events.append(event_from_json_obj(obj))
-        except KeyError as exc:
-            missing = sorted({"sid", "t", "token"} - obj.keys())
-            what = f"missing field {missing[0]!r}" if missing else f"unknown token {exc}"
-            raise CommandError(EXIT_BAD_INPUT, f"{path} line {lineno}: {what}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CommandError(EXIT_BAD_INPUT, f"{path} line {lineno}: {exc}") from exc
-    return events
+    try:
+        return events_from_jsonl(text)
+    except ValueError as exc:  # names the line
+        raise CommandError(EXIT_BAD_INPUT, f"{path} {exc}") from exc
 
 
 # ---------------------------------------------------------------- commands
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from mooctrace import synth
+
     mix = tuple(float(x) for x in args.mix.split(","))
     if len(mix) != 3:
         raise CommandError(EXIT_BAD_INPUT, "mix must have three comma-separated values")
@@ -267,9 +258,8 @@ def cmd_featurize(args: argparse.Namespace) -> int:
             (dict(zip(("sid", "courseweek"), fv.instance_id)) for fv in ds.instances),
         )
     selected = curr if cfg.setup == Setup.CURR else tcurr
-    write_jsonl_atomic(
-        out / "sequences.jsonl",
-        (sequence_to_json_obj(selected[k]) for k in sorted(selected)),
+    write_text_atomic(
+        out / "sequences.jsonl", sequences_to_jsonl(selected[k] for k in sorted(selected))
     )
     print(
         f"featurize: {len(train.instances)} train / {len(test.instances)} test instances, "
@@ -329,16 +319,10 @@ def _evaluate_model(model_path: str, X: np.ndarray, y: np.ndarray, names: tuple)
     from mooctrace import model as svm
 
     try:
-        trained = svm.load_model(Path(model_path).read_text())
+        text = Path(model_path).read_text()
     except OSError as exc:
         raise CommandError(EXIT_BAD_INPUT, f"cannot read model: {exc}") from exc
-    if trained.feature_names != names:
-        n_model = len(trained.feature_names or ())
-        raise CommandError(
-            EXIT_BAD_INPUT,
-            f"feature names in column order differ from the model's "
-            f"({len(names)} columns vs {n_model} in the model)",
-        )
+    trained = svm.load_model(text, names)  # a ValueError for other names: exit 2
     _warn_if_unconverged(trained)
     predictions = svm.predict_all(trained, X)
     return predictions, svm.evaluate(list(predictions), list(y))
@@ -424,7 +408,7 @@ def _analysis_columns(sequences, graph_metrics):
 def cmd_report(args: argparse.Namespace) -> int:
     # interaction_gain_ranking and contingency_table live in model, so report
     # loads numpy too.
-    from mooctrace import model as svm
+    from mooctrace import actgraph, model as svm
 
     cfg = build_config(args)
     events = _read_events(args.events)

@@ -10,6 +10,11 @@ mistyped field, and a ``t`` or ``rate`` too large for a float.
 ``events_to_jsonl`` writes encoded events as fixed-format JSON lines, the
 same bytes ``json.dumps(obj, sort_keys=True)`` gives for each event the
 parsers can produce, without building a dict or an encoder per event.
+``events_from_jsonl`` reads them back: that exact format in one regex pass,
+any other JSON-lines with the same fields line by line.
+
+Records are named tuples, so ``Event``s sort by (student, timestamp, token)
+without a key function.
 
 Tokens are ints: ``ActivityToken`` is an ``IntEnum`` over 0..14, so a token is
 its own index into per-token lists, and tokens sort by value (video first).
@@ -19,10 +24,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 
 class ActivityToken(IntEnum):
@@ -81,8 +87,7 @@ SCROLL_GAP_SECONDS = 1.0
 INITIAL_PLAYRATE = 1.0
 
 
-@dataclass(frozen=True)
-class RawClickEvent:
+class RawClickEvent(NamedTuple):
     """A single video clickstream event before encoding."""
 
     student_id: int
@@ -93,8 +98,7 @@ class RawClickEvent:
     playrate: float | None = None      # required iff kind == "ratechange"
 
 
-@dataclass(frozen=True)
-class RawForumEvent:
+class RawForumEvent(NamedTuple):
     """A single discussion forum event before encoding."""
 
     student_id: int
@@ -102,9 +106,11 @@ class RawForumEvent:
     kind: str  # key of FORUM_KIND_TO_TOKEN
 
 
-@dataclass(frozen=True)
-class Event:
-    """Canonical encoded record: who did which activity when."""
+class Event(NamedTuple):
+    """Canonical encoded record: who did which activity when.
+
+    Tuple order is (student, timestamp, token), the order events are stored in.
+    """
 
     student_id: int
     timestamp: float
@@ -355,7 +361,7 @@ def encode_events(
         encoded.extend(events)
         dropped += n
     encoded.extend(encode_forum(forum_events))
-    encoded.sort(key=lambda e: (e.student_id, e.timestamp, e.token))
+    encoded.sort()  # by (student, timestamp, token)
     return encoded, dropped
 
 
@@ -377,3 +383,56 @@ def event_from_json_obj(obj: dict) -> Event:
     if not math.isfinite(t):
         raise ValueError("t must be a finite number")
     return Event(int(obj["sid"]), t, ActivityToken[obj["token"]])
+
+
+# Exactly one line as events_to_jsonl writes it: sid in JSON integer grammar,
+# t in JSON number grammar without a sign (ingest writes no negative t), and a
+# bare token name. [0-9], not \d, which also matches non-ASCII digits.
+_EVENT_LINE = re.compile(
+    r'^\{"sid": (-?(?:0|[1-9][0-9]*)), '
+    r'"t": ((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), '
+    r'"token": "([A-Za-z]+)"\}\n',
+    re.MULTILINE,
+)
+_TOKENS = {token.name: token for token in ActivityToken}
+
+
+def events_from_jsonl(text: str) -> list[Event]:
+    """The events of an events.jsonl text, in file order.
+
+    Reads what ``events_to_jsonl`` writes in one regex pass. Any other text
+    (other spacing or key order, blank lines, CRLF, no final newline, a
+    non-finite t, an sid past the int digit limit, an unknown token) is read
+    line by line through ``event_from_json_obj``, which accepts the same
+    events and names the first bad line in a ValueError.
+    """
+    rows = _EVENT_LINE.findall(text)
+    # Each match is one whole line, so equal counts mean every line matched.
+    if len(rows) == text.count("\n") and text[-1:] in ("", "\n"):
+        try:
+            events = [Event(int(sid), float(t), _TOKENS[name]) for sid, t, name in rows]
+        except (KeyError, ValueError):  # unknown token, or sid past the digit limit
+            pass
+        else:
+            if all(math.isfinite(e.timestamp) for e in events):
+                return events
+    return _events_from_lines(text)
+
+
+def _events_from_lines(text: str) -> list[Event]:
+    events = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("not a JSON object")
+            events.append(event_from_json_obj(obj))
+        except KeyError as exc:
+            missing = sorted({"sid", "t", "token"} - obj.keys())
+            what = f"missing field {missing[0]!r}" if missing else f"unknown token {exc}"
+            raise ValueError(f"line {lineno}: {what}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+    return events

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
-from mooctrace import actgraph
 from mooctrace.events import (
     ACTIVE_FORUM,
     ACTIVE_VIDEO,
@@ -158,6 +157,8 @@ def _instance_features(
             if value:
                 feats[name] = value
     if model_family in (ModelFamily.GRAPH, ModelFamily.COMBINED):
+        from mooctrace import actgraph  # here, so that baseline features never load it
+
         metrics = actgraph.compute_metrics(actgraph.build_graph(seq.tokens))
         feats["graph:num_nodes"] = float(metrics.num_nodes)
         feats["graph:num_edges"] = float(metrics.num_edges)
@@ -350,10 +351,12 @@ def read_sparse(text: str, n_features: int) -> tuple[np.ndarray, np.ndarray]:
         prev = -1
         for item in parts[1:]:
             col, _, value = item.partition(":")
-            c = int(col)
+            try:
+                c, x = int(col), float(value)
+            except ValueError:
+                raise ValueError(f"row {r + 1}: item {item!r} is not int:float") from None
             if not 0 <= c < n_features:
                 raise ValueError(f"row {r + 1}: column {c} outside [0, {n_features})")
-            x = float(value)
             if not math.isfinite(x):
                 raise ValueError(f"row {r + 1}: column {c} value {value!r} is not finite")
             if c <= prev:

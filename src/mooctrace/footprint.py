@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from mooctrace.events import FORUM_TOKENS, VIDEO_TOKENS, ActivityToken, Event
 
@@ -63,12 +64,6 @@ def assign_week(timestamp: float, course_start: float) -> int:
     return int((timestamp - course_start) // SECONDS_PER_WEEK) + 1
 
 
-def _sorted_week_events(events: list[Event]) -> list[Event]:
-    # Timestamp ties break by token order (video tokens sort before forum
-    # tokens by construction), then by input order via sort stability.
-    return sorted(events, key=lambda e: (e.timestamp, e.token))
-
-
 def build_curr_sequences(
     events: list[Event], course_start: float | None = None
 ) -> dict[tuple[int, int], FootprintSequence]:
@@ -93,7 +88,9 @@ def build_curr_sequences(
     sequences = {}
     for (sid, week), evs in by_key.items():
         ctx = WeekContext(course_start, week, week - first_week[sid] + 1)
-        tokens = tuple(e.token for e in _sorted_week_events(evs))
+        # One student, so tuple order is (timestamp, token): video tokens sort
+        # before forum tokens at a tie, and equal events keep input order.
+        tokens = tuple(e.token for e in sorted(evs))
         sequences[(sid, week)] = FootprintSequence(sid, ctx, Setup.CURR, tokens)
     return sequences
 
@@ -135,11 +132,23 @@ def nominal_activity_type(tokens) -> NominalActivityType:
     raise ValueError("an empty token sequence has no activity type")
 
 
-def sequence_to_json_obj(seq: FootprintSequence) -> dict:
-    return {
-        "sid": seq.student_id,
-        "courseweek": seq.week.courseweek,
-        "userweek": seq.week.userweek,
-        "setup": seq.setup.value,
-        "tokens": [t.name for t in seq.tokens],
-    }
+# Each token's name as a JSON string, indexed by token.
+_QUOTED_NAMES = [f'"{token.name}"' for token in ActivityToken]
+
+
+def sequences_to_jsonl(seqs: Iterable[FootprintSequence]) -> str:
+    """One JSON line per sequence, keys sorted.
+
+    The same bytes as ``json.dumps(obj, sort_keys=True)`` plus a newline for
+    the object with keys courseweek, setup, sid, tokens (names) and userweek:
+    every value is an int, an ASCII name or a list of names.
+    """
+    lines = []
+    for seq in seqs:
+        tokens = ", ".join(map(_QUOTED_NAMES.__getitem__, seq.tokens))
+        lines.append(
+            f'{{"courseweek": {seq.week.courseweek}, "setup": "{seq.setup.value}", '
+            f'"sid": {seq.student_id}, "tokens": [{tokens}], '
+            f'"userweek": {seq.week.userweek}}}\n'
+        )
+    return "".join(lines)

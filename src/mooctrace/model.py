@@ -510,8 +510,15 @@ def _support_vectors(obj: dict, n_sv: int) -> np.ndarray:
     return sv
 
 
-def model_from_json_obj(obj: dict) -> TrainedModel:
-    """The model a JSON object describes; a ValueError names any bad key."""
+def model_from_json_obj(
+    obj: dict, feature_names: tuple[str, ...] | None = None
+) -> TrainedModel:
+    """The model a JSON object describes; a ValueError names any bad key.
+
+    Given feature_names, a model whose stored names differ (or that stores
+    none) is refused before its support vectors are built, so an unnamed
+    model's n_features allocates nothing.
+    """
     if not isinstance(obj, dict):
         raise ValueError("model is not a JSON object")
     if obj.get("version") != MODEL_FORMAT_VERSION:
@@ -527,6 +534,12 @@ def model_from_json_obj(obj: dict) -> TrainedModel:
         raise ValueError("model key 'feature_names' has the wrong type")
     if names is not None and len(names) != obj["n_features"]:
         raise ValueError("model key 'feature_names' does not have n_features entries")
+    stored_names = tuple(names) if names else None
+    if feature_names is not None and stored_names != feature_names:
+        raise ValueError(
+            f"feature names in column order differ from the model's "
+            f"({len(feature_names)} columns vs {len(names or ())} in the model)"
+        )
     alphas = _array(obj, "alphas", float)
     sv_labels = _array(obj, "sv_labels", float)
     if len(sv_labels) != len(alphas):
@@ -549,7 +562,7 @@ def model_from_json_obj(obj: dict) -> TrainedModel:
         converged=obj["converged"],
         n_iterations=obj["n_iterations"],
         kkt_gap=obj["kkt_gap"],
-        feature_names=tuple(names) if names else None,
+        feature_names=stored_names,
     )
 
 
@@ -557,5 +570,5 @@ def dump_model(model: TrainedModel) -> str:
     return json.dumps(model_to_json_obj(model), sort_keys=True)
 
 
-def load_model(text: str) -> TrainedModel:
-    return model_from_json_obj(json.loads(text))
+def load_model(text: str, feature_names: tuple[str, ...] | None = None) -> TrainedModel:
+    return model_from_json_obj(json.loads(text), feature_names)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from scipy import stats as scipy_stats
 
-from mooctrace import cli, features, model as svm
+from mooctrace import cli, events as ev, features, model as svm
 
 
 def run(*argv):
@@ -191,6 +191,17 @@ class TestFeaturizeCommand:
         err = json.loads(capsys.readouterr().err)
         assert "line 3" in err["error"] and reason in err["error"]
 
+    def test_ingest_output_takes_fast_path(self, events_dir, monkeypatch):
+        calls = []
+        read_line = ev.event_from_json_obj
+        monkeypatch.setattr(ev, "event_from_json_obj",
+                            lambda obj: calls.append(obj) or read_line(obj))
+        text = (events_dir / "events.jsonl").read_text()
+        read = ev.events_from_jsonl(text)
+        assert calls == []
+        assert len(read) == text.count("\n") > 0
+        assert ev.events_to_jsonl(read) == text
+
     def test_config_file_flags_override(self, tmp_path, events_dir):
         config = tmp_path / "run.cfg"
         config.write_text("setup=tcurr\nrare_threshold=2\n# comment\n")
@@ -232,7 +243,9 @@ class TestTrainEvalCommands:
         pytest.param(item, reason, id=item) for item, reason in [
             ("-1:5.0", "column -1 outside"),
             ("999999:1.0", "column 999999 outside"),
-            ("3=1.0", "invalid literal for int()"),
+            ("3=1.0", "item '3=1.0' is not int:float"),
+            ("x:1.0", "item 'x:1.0' is not int:float"),
+            ("2:abc", "item '2:abc' is not int:float"),
             ("2:nan", "column 2 value 'nan' is not finite"),
             ("2:inf", "column 2 value 'inf' is not finite"),
             ("2:1e200", "squared norm is not finite"),
@@ -249,6 +262,7 @@ class TestTrainEvalCommands:
         assert code == cli.EXIT_BAD_INPUT
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == cli.EXIT_BAD_INPUT
+        assert err["error"].startswith(f"row {len(lines)}: ")
         assert reason in err["error"]
         assert not (tmp_path / "m.json").exists()
 
@@ -277,6 +291,36 @@ class TestTrainEvalCommands:
                    "--features", renamed, "--out", tmp_path / "r.json")
         assert code == cli.EXIT_BAD_INPUT
         assert "feature names" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_unnamed_model_refused_before_allocating(self, tmp_path, featurized_dir):
+        # One support vector over 10**12 columns would be an 8 TB dense row, so
+        # eval must compare names first. It runs in a child whose address space
+        # is capped, so a loader that allocates first fails there, not here.
+        model_path = tmp_path / "model.json"
+        assert run("train", "--train", featurized_dir / "train.txt",
+                   "--features", featurized_dir / "features.json", "--out", model_path) == 0
+        obj = json.loads(model_path.read_text())
+        nnz = obj["sv_indptr"][1]
+        obj.update(n_features=10**12, feature_names=None, sv_indptr=[0, nnz],
+                   sv_indices=obj["sv_indices"][:nnz], sv_values=obj["sv_values"][:nnz],
+                   sv_labels=obj["sv_labels"][:1], alphas=obj["alphas"][:1])
+        model_path.write_text(json.dumps(obj))
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                "from mooctrace import cli\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        child = subprocess.run(
+            [sys.executable, "-c", code, "eval", "--model-file", str(model_path),
+             "--test", str(featurized_dir / "test.txt"),
+             "--features", str(featurized_dir / "features.json"),
+             "--out", str(tmp_path / "r.json")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == cli.EXIT_BAD_INPUT, child.stderr
+        assert "feature names" in json.loads(child.stderr)["error"]
         assert not (tmp_path / "r.json").exists()
 
     def test_unconverged_model_warns(self, tmp_path, featurized_dir, capsys):
@@ -489,6 +533,18 @@ print(json.dumps(loaded))
 """
 
 
+# Runs one command through cli.main and prints which of the modules named in
+# the last argument it loaded.
+_MODULES_AFTER_COMMAND = """
+import contextlib, io, json, sys
+from mooctrace import cli
+*argv, watched = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in watched.split(",") if m in sys.modules)))
+"""
+
+
 class TestImportCost:
     """Each command loads only what its own work needs.
 
@@ -517,6 +573,44 @@ class TestImportCost:
     def test_train_loads_numpy(self, numpy_after):
         # The probe can see numpy: train needs it and loads it.
         assert "numpy" in numpy_after["train"]
+
+    @pytest.fixture(scope="class")
+    def pipeline_dir(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("module_cost")
+        assert run("synth", "--out-dir", d, "--students", 60, "--weeks", 4, "--seed", 5) == 0
+        assert run("ingest", "--clicks", d / "clickstream.jsonl",
+                   "--forum", d / "forum.jsonl", "--out-dir", d) == 0
+        assert run("featurize", "--events", d / "events.jsonl", "--out-dir", d,
+                   "--model", "baseline") == 0
+        assert run("train", "--train", d / "train.txt", "--features", d / "features.json",
+                   "--out", d / "model.json") == 0
+        return d
+
+    @staticmethod
+    def _loaded(d: Path, argv: str) -> list[str]:
+        args = [arg.format(d=d) for arg in argv.split()]
+        return json.loads(_probe(_MODULES_AFTER_COMMAND, *args,
+                                 "mooctrace.actgraph,mooctrace.synth"))
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param("ingest --clicks {d}/clickstream.jsonl --forum {d}/forum.jsonl "
+                     "--out-dir {d}/ingest", id="ingest"),
+        pytest.param("featurize --events {d}/events.jsonl --out-dir {d}/baseline "
+                     "--model baseline", id="featurize-baseline"),
+        pytest.param("train --train {d}/train.txt --features {d}/features.json "
+                     "--out {d}/model2.json", id="train"),
+        pytest.param("eval --model-file {d}/model.json --test {d}/test.txt "
+                     "--features {d}/features.json --out {d}/report.json", id="eval"),
+    ])
+    def test_command_leaves_actgraph_and_synth_out(self, pipeline_dir, argv):
+        # Without bytecode caches every import is a compile: actgraph also
+        # loads fractions.
+        assert self._loaded(pipeline_dir, argv) == []
+
+    def test_graph_featurize_loads_actgraph(self, pipeline_dir):
+        # The probe can see a loaded module: graph features need actgraph.
+        argv = "featurize --events {d}/events.jsonl --out-dir {d}/graph --model graph"
+        assert self._loaded(pipeline_dir, argv) == ["mooctrace.actgraph"]
 
 
 class TestAtomicWrite:

@@ -330,3 +330,59 @@ class TestEncodeEvents:
         assert line == json.dumps(expected, sort_keys=True) + "\n"
         back = ev.event_from_json_obj(json.loads(line))
         assert back == e and ev.events_to_jsonl([back]) == line
+
+
+def read_outcome(read, text):
+    """The events a reader returns, or the message of the ValueError it raises."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestEventsFromJsonl:
+    @given(st.lists(st.builds(
+        ev.Event,
+        st.integers() | st.integers(min_value=2**63, max_value=2**200),
+        st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+        | st.floats(min_value=0.0, allow_infinity=False),
+        st.sampled_from(T),
+    ), max_size=20))
+    @example([])
+    @example([ev.Event(sid, 1.5, token) for sid, token in enumerate(T)])
+    @example([ev.Event(2**63 + 1, -0.0, T.PL), ev.Event(-1, 5e-324, T.Vt),
+              ev.Event(0, 1.7976931348623157e308, T.Th)])
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, events):
+        text = ev.events_to_jsonl(events)
+        back = ev.events_from_jsonl(text)
+        assert back == events and ev.events_to_jsonl(back) == text
+        assert all(type(e) is ev.Event for e in back)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"sid":1,"t":2.5,"token":"PL"}\n', id="compact"),
+        pytest.param('{"token": "PL", "t": 2.5, "sid": 1}\n', id="reordered-keys"),
+        pytest.param('{"sid": 1, "t": 2.5, "token": "PL"}\n\n'
+                     '{"sid": 2, "t": 3.0, "token": "Vf"}\n', id="blank-line"),
+        pytest.param('{"sid": 1, "t": 2.5, "token": "PL"}\r\n'
+                     '{"sid": 2, "t": 3.0, "token": "Vf"}\r\n', id="crlf"),
+        pytest.param('{"sid": 1, "t": 2.5, "token": "PL"}\n'
+                     '{"sid": 2, "t": 3.0, "token": "Vf"}', id="no-final-newline"),
+        pytest.param('{"sid": 1, "t": 1e400, "token": "PL"}\n', id="t-1e400"),
+        pytest.param('{"sid": 1, "t": 1' + "0" * 400 + ', "token": "PL"}\n', id="t-401-digits"),
+        pytest.param('{"sid": 1' + "0" * 4999 + ', "t": 2.5, "token": "PL"}\n',
+                     id="sid-5000-digits"),
+        pytest.param('{"sid": 1, "t": 2.5, "token": "XX"}\n', id="unknown-token"),
+        pytest.param('{"sid": 1, "t": -2.5, "token": "PL"}\n', id="negative-t"),
+        pytest.param('x{"sid": 1, "t": 2.5, "token": "PL"}\n', id="junk-before"),
+        pytest.param('{"sid": 01, "t": 2.5, "token": "PL"}\n', id="leading-zero"),
+        pytest.param('{"sid": ١, "t": 2.5, "token": "PL"}\n', id="non-ascii-digit"),
+    ])
+    def test_other_text_is_read_line_by_line(self, monkeypatch, text):
+        expected = read_outcome(ev._events_from_lines, text)
+        declined = []
+        line_by_line = ev._events_from_lines
+        monkeypatch.setattr(ev, "_events_from_lines",
+                            lambda t: declined.append(t) or line_by_line(t))
+        assert read_outcome(ev.events_from_jsonl, text) == expected
+        assert declined == [text]

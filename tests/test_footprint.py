@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -153,14 +154,38 @@ class TestFootprintProperties:
         assert curr_a == curr_b
 
 
+def sequence_json_obj(seq):
+    """The object each sequences.jsonl line encodes, for json.dumps to write."""
+    return {
+        "sid": seq.student_id,
+        "courseweek": seq.week.courseweek,
+        "userweek": seq.week.userweek,
+        "setup": seq.setup.value,
+        "tokens": [t.name for t in seq.tokens],
+    }
+
+
 class TestJsonExport:
     def test_shape(self):
         curr = fp.build_curr_sequences(make_events(9, {2: [T.PL, T.Vf]}), COURSE_START)
-        obj = fp.sequence_to_json_obj(curr[(9, 2)])
-        assert obj == {
+        text = fp.sequences_to_jsonl([curr[(9, 2)]])
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.loads(text) == {
             "sid": 9,
             "courseweek": 2,
             "userweek": 1,
             "setup": "curr",
             "tokens": ["PL", "Vf"],
         }
+
+    @given(st.lists(st.builds(
+        fp.FootprintSequence,
+        student_id=st.integers() | st.integers(min_value=2**63, max_value=2**200),
+        week=st.builds(fp.WeekContext, st.just(0.0), st.integers(), st.integers()),
+        setup=st.sampled_from(fp.Setup),
+        tokens=st.lists(TOKENS, max_size=8).map(tuple),
+    ), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_sorted_json_dumps(self, seqs):
+        expected = "".join(json.dumps(sequence_json_obj(s), sort_keys=True) + "\n" for s in seqs)
+        assert fp.sequences_to_jsonl(seqs) == expected
