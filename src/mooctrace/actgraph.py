@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mooctrace.events import ActivityToken
 
@@ -140,14 +139,10 @@ def indegree_centrality(g: ActivityGraph) -> dict[ActivityToken, float]:
     return {v: indeg[v] / (n - 1) for v in g.nodes}
 
 
-def top_indegree(
-    g: ActivityGraph, k: int = 3
-) -> list[tuple[ActivityToken, float]]:
-    """The k most indegree-central activities, ties broken by token order."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def top_indegree(g: ActivityGraph) -> list[tuple[ActivityToken, float]]:
+    """The three most indegree-central activities, ties broken by token order."""
     centrality = indegree_centrality(g)
-    return sorted(centrality.items(), key=lambda item: (-item[1], item[0]))[:k]
+    return sorted(centrality.items(), key=lambda item: (-item[1], item[0]))[:3]
 
 
 def _betweenness_numerators(g: ActivityGraph) -> tuple[dict[EdgePair, int], int]:
@@ -156,6 +151,12 @@ def _betweenness_numerators(g: ActivityGraph) -> tuple[dict[EdgePair, int], int]
     Returns (numerators, denominator): numerators keyed by (from, to) in
     token order for every edge of the collapsed simple digraph, and the
     edge (u, v) has betweenness numerators[u, v] / denominator.
+
+    Self-loops are excluded and parallel edges collapse to one: shortest
+    paths never traverse a loop and multiplicity does not change path
+    structure. For each ordered node pair (s, t) with s != t and at least
+    one path, an edge accumulates the fraction of shortest s-t paths
+    passing through it; the sum is normalized by 1/(n(n-1)).
 
     Brandes' accumulation (Brandes 2001; edge variant, Brandes 2008) with
     one BFS per source s. D is the lcm of the shortest-path counts sigma of
@@ -200,23 +201,6 @@ def _betweenness_numerators(g: ActivityGraph) -> tuple[dict[EdgePair, int], int]
                 delta[v] += contribution
     n = len(nodes)
     return numerators, denominator * n * (n - 1)
-
-
-def edge_betweenness(g: ActivityGraph) -> dict[EdgePair, Fraction]:
-    """Normalized edge betweenness on the collapsed simple digraph.
-
-    Self-loops are excluded and parallel edges collapse to one: shortest
-    paths never traverse a loop and multiplicity does not change path
-    structure. For each ordered node pair (s, t) with s != t and at least
-    one path, an edge accumulates the fraction of shortest s-t paths
-    passing through it; the sum is normalized by 1/(n(n-1)).
-
-    Exact: Brandes' accumulation runs with every dependency scaled by one
-    common denominator, the lcm of all shortest-path counts, so it needs
-    only integer arithmetic.
-    """
-    numerators, denominator = _betweenness_numerators(g)
-    return {edge: Fraction(num, denominator) for edge, num in numerators.items()}
 
 
 def central_transition(g: ActivityGraph) -> tuple[EdgePair, float] | None:

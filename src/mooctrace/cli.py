@@ -1,8 +1,10 @@
 """Command-line pipeline: synth, ingest, featurize, train, eval, report.
 
 Configuration comes from an optional flat key=value file plus flags (flags
-win). Every command writes files atomically, exits nonzero on error, and
-puts a machine-readable JSON error on stderr.
+win). Each command registers only the flags it reads, while a config file
+may set any pipeline key, so one file serves every command. Every command
+writes files atomically, exits nonzero on error, and puts a
+machine-readable JSON error on stderr.
 
 Each command loads only what its own work needs. ``mooctrace.model``, and
 with it numpy, is imported inside train, eval and report, so synth, ingest
@@ -78,9 +80,9 @@ class PipelineConfig:
     def svm_params(self) -> svm.SvmParams:
         from mooctrace import model as svm
 
-        class_cost = None
-        if self.cost0 is not None and self.cost1 is not None:
-            class_cost = {0: self.cost0, 1: self.cost1}
+        if (self.cost0 is None) != (self.cost1 is None):
+            raise CommandError(EXIT_BAD_INPUT, "cost0 and cost1 go together")
+        class_cost = None if self.cost0 is None else {0: self.cost0, 1: self.cost1}
         return svm.SvmParams(
             C=self.svm_c,
             gamma=self.svm_gamma,
@@ -92,16 +94,22 @@ class PipelineConfig:
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment."""
+    """Flat key=value lines; '#' starts a comment. Keys are _CONFIG_CASTS's or "model"."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise CommandError(EXIT_BAD_INPUT, f"cannot read config: {exc}") from exc
     values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise CommandError(EXIT_BAD_INPUT, f"bad config line: {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_CASTS and key != "model":
+            raise CommandError(EXIT_BAD_INPUT, f"{path} line {number}: unknown key {key!r}")
+        values[key] = value
     return values
 
 
@@ -125,7 +133,7 @@ _CONFIG_CASTS = {
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig()
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    file_values = load_config_file(args.config) if args.config else {}
     if "model" in file_values:  # config key mirrors the --model flag
         file_values.setdefault("model_family", file_values.pop("model"))
     for key, cast in _CONFIG_CASTS.items():
@@ -224,9 +232,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _build_sequences(events, cfg: PipelineConfig):
+    """The configured setup's sequences; TCurr ones are built from Curr ones."""
     curr = build_curr_sequences(events, cfg.course_start)
-    tcurr = build_tcurr_sequences(curr)
-    return curr, tcurr
+    return curr if cfg.setup == Setup.CURR else build_tcurr_sequences(curr)
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
@@ -235,14 +243,9 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     if not events:
         raise CommandError(EXIT_EMPTY_EVENTS, "event store is empty")
 
-    curr, tcurr = _build_sequences(events, cfg)
+    sequences = _build_sequences(events, cfg)
     train, test = features.build_model_datasets(
-        curr,
-        tcurr,
-        cfg.setup,
-        cfg.model_family,
-        (cfg.test_id_min, cfg.test_id_max),
-        cfg.rare_threshold,
+        sequences, cfg.model_family, (cfg.test_id_min, cfg.test_id_max), cfg.rare_threshold
     )
 
     out = Path(args.out_dir)
@@ -257,9 +260,8 @@ def cmd_featurize(args: argparse.Namespace) -> int:
             out / f"{name}_keys.jsonl",
             (dict(zip(("sid", "courseweek"), fv.instance_id)) for fv in ds.instances),
         )
-    selected = curr if cfg.setup == Setup.CURR else tcurr
     write_text_atomic(
-        out / "sequences.jsonl", sequences_to_jsonl(selected[k] for k in sorted(selected))
+        out / "sequences.jsonl", sequences_to_jsonl(sequences[k] for k in sorted(sequences))
     )
     print(
         f"featurize: {len(train.instances)} train / {len(test.instances)} test instances, "
@@ -300,11 +302,11 @@ def _warn_if_unconverged(trained: svm.TrainedModel) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     from mooctrace import model as svm
 
-    cfg = build_config(args)
+    params = build_config(args).svm_params()
     (X, y), names = _load_matrix(args.train, args.features)
     if len(set(y.tolist())) < 2:
         raise CommandError(EXIT_SINGLE_CLASS, "train split contains a single class")
-    trained = svm.fit_svm(X, y, cfg.svm_params())
+    trained = svm.fit_svm(X, y, params)
     trained.feature_names = names
     write_text_atomic(Path(args.out), svm.dump_model(trained) + "\n")
     print(
@@ -414,8 +416,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     events = _read_events(args.events)
     if not events:
         raise CommandError(EXIT_EMPTY_EVENTS, "event store is empty")
-    curr, tcurr = _build_sequences(events, cfg)
-    sequences = curr if cfg.setup == Setup.CURR else tcurr
+    sequences = _build_sequences(events, cfg)
     out = Path(args.out_dir)
 
     if (args.student is None) != (args.week is None):
@@ -467,15 +468,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--course-start", dest="course_start", type=float)
-    p.add_argument("--setup", choices=[s.value for s in Setup])
-    p.add_argument("--model", dest="model_family",
-                   choices=[m.value for m in ModelFamily])
-    p.add_argument("--seed", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mooctrace",
@@ -497,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forum", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--min-viewers", dest="min_unique_viewers", type=int)
-    _add_config_flags(p)
+    p.add_argument("--config", help="flat key=value config file")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("featurize", help="build train/test feature matrices")
@@ -506,7 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rare-threshold", dest="rare_threshold", type=int)
     p.add_argument("--test-id-min", dest="test_id_min", type=int)
     p.add_argument("--test-id-max", dest="test_id_max", type=int)
-    _add_config_flags(p)
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--course-start", dest="course_start", type=float)
+    p.add_argument("--setup", choices=[s.value for s in Setup])
+    p.add_argument("--model", dest="model_family", choices=[m.value for m in ModelFamily])
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train the cost-sensitive RBF SVM")
@@ -519,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svm-max-iter", dest="svm_max_iter", type=int)
     p.add_argument("--cost0", type=float)
     p.add_argument("--cost1", type=float)
-    _add_config_flags(p)
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model (optionally against another)")
@@ -536,7 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--student", type=int)
     p.add_argument("--week", type=int)
-    _add_config_flags(p)
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--course-start", dest="course_start", type=float)
+    p.add_argument("--setup", choices=[s.value for s in Setup])
     p.set_defaults(func=cmd_report)
     return parser
 

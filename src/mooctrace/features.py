@@ -30,7 +30,7 @@ from mooctrace.events import (
     PASSIVE_VIDEO,
     VIDEO_TOKENS,
 )
-from mooctrace.footprint import FootprintSequence, Setup, nominal_activity_type
+from mooctrace.footprint import FootprintSequence, nominal_activity_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,7 +70,6 @@ class FeatureVector:
 @dataclass(frozen=True)
 class Dataset:
     instances: list[FeatureVector]
-    setup: Setup
     model_family: ModelFamily
     feature_index: dict[str, int] | None = None
 
@@ -114,7 +113,6 @@ class Dichotomizer:
     threshold). A constant fit degenerates to all-zero bins.
     """
 
-    strategy: str  # "equal_width" | "equal_frequency"
     threshold: float
     strict: bool   # compare with > instead of >=
 
@@ -132,7 +130,7 @@ class Dichotomizer:
             strict = True
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
-        return cls(strategy, threshold, strict)
+        return cls(threshold, strict)
 
     def apply(self, value: float) -> int:
         if self.strict:
@@ -184,10 +182,7 @@ def dropout_labels(keys) -> dict[tuple[int, int], int]:
 
 
 def assemble_dataset(
-    curr_seqs: dict[tuple[int, int], FootprintSequence],
-    tcurr_seqs: dict[tuple[int, int], FootprintSequence],
-    setup: Setup,
-    model_family: ModelFamily,
+    sequences: dict[tuple[int, int], FootprintSequence], model_family: ModelFamily
 ) -> Dataset:
     """Build labeled instances with raw (pre-transform) feature values.
 
@@ -195,10 +190,6 @@ def assemble_dataset(
     week. Dichotomization and scaling happen later, once a train split
     exists to fit them on (see finalize_split).
     """
-    sequences = curr_seqs if setup == Setup.CURR else tcurr_seqs
-    if setup == Setup.TCURR and set(curr_seqs) != set(tcurr_seqs):
-        raise ValueError("curr and tcurr instance keys differ")
-
     labels = dropout_labels(sequences)
     instances = [
         FeatureVector(
@@ -208,7 +199,7 @@ def assemble_dataset(
         )
         for sid, week in sorted(sequences)
     ]
-    return Dataset(instances, setup, model_family)
+    return Dataset(instances, model_family)
 
 
 def split_by_student(
@@ -225,8 +216,7 @@ def split_by_student(
         warnings.warn("train split is empty", stacklevel=2)
     if not test:
         warnings.warn("test split is empty", stacklevel=2)
-    make = lambda inst: Dataset(inst, dataset.setup, dataset.model_family)
-    return make(train), make(test)
+    return Dataset(train, dataset.model_family), Dataset(test, dataset.model_family)
 
 
 def _fit_value_maps(train: Dataset) -> dict[str, Callable[[float], float]]:
@@ -297,21 +287,19 @@ def finalize_split(
         for fv in test.instances
     ]
     return (
-        Dataset(train_out, train.setup, train.model_family, index),
-        Dataset(test_out, test.setup, test.model_family, index),
+        Dataset(train_out, train.model_family, index),
+        Dataset(test_out, test.model_family, index),
     )
 
 
 def build_model_datasets(
-    curr_seqs,
-    tcurr_seqs,
-    setup: Setup,
+    sequences,
     model_family: ModelFamily,
     test_id_range: tuple[int, int],
     rare_threshold: int = 4,
 ) -> tuple[Dataset, Dataset]:
     """Full featurization: assemble, split by student, fit-and-apply."""
-    dataset = assemble_dataset(curr_seqs, tcurr_seqs, setup, model_family)
+    dataset = assemble_dataset(sequences, model_family)
     train, test = split_by_student(dataset, *test_id_range)
     return finalize_split(train, test, rare_threshold)
 
@@ -333,7 +321,8 @@ def read_sparse(text: str, n_features: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse export_sparse output back into dense arrays.
 
     Raises ValueError on a label other than 0 or 1, on an item that is not
-    `int:float`, on a column index outside [0, n_features), on a value that
+    `int:float` (the column ASCII digits, and no '_' or non-ASCII character
+    in the value), on a column index outside [0, n_features), on a value that
     is not finite, on a column that does not ascend strictly within its row
     (a repeat would silently overwrite a value), or on a row whose squared
     norm overflows (the RBF kernel of such a row is NaN).
@@ -348,11 +337,18 @@ def read_sparse(text: str, n_features: int) -> tuple[np.ndarray, np.ndarray]:
         if parts[0] not in ("0", "1"):
             raise ValueError(f"row {r + 1}: label {parts[0]!r} is not 0 or 1")
         y[r] = int(parts[0])
+        # int() and float() also read '_' separators and non-ASCII digits, and
+        # int() a '+' sign; the items of a line with any of them are checked.
+        plain = line.isascii() and "_" not in line and "+" not in line
         prev = -1
         for item in parts[1:]:
             col, _, value = item.partition(":")
             try:
                 c, x = int(col), float(value)
+                if not plain and (  # a negative column fails below, as outside
+                    not item.isascii() or "_" in item or c >= 0 and not col.isdigit()
+                ):
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"row {r + 1}: item {item!r} is not int:float") from None
             if not 0 <= c < n_features:

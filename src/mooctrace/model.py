@@ -16,7 +16,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ class SvmParams:
     tolerance: float = 1e-3
     max_iter: int = 10000
     seed: int = 0
-    track_objective: bool = False
 
 
 @dataclass
@@ -53,7 +52,6 @@ class TrainedModel:
     n_iterations: int
     kkt_gap: float = 0.0          # final max violation m(alpha) - M(alpha)
     feature_names: tuple[str, ...] | None = None
-    objective_trace: list[float] = field(default_factory=list)
 
 
 # Test rows scored per kernel block in decision_function: bounds the block at
@@ -108,6 +106,9 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
     Each SMO step optimizes the maximal-KKT-violating pair analytically,
     which never decreases the dual objective; iteration stops once the
     violation gap drops below the tolerance or max_iter steps are taken.
+    A ValueError names a hyperparameter that would make the fit degenerate:
+    gamma, C * class_cost or tolerance not finite and positive, or max_iter
+    negative.
     """
     X = np.asarray(X, dtype=float)
     y01 = np.asarray(y01, dtype=int)
@@ -122,9 +123,19 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
     gamma = params.gamma if params.gamma is not None else 1.0 / X.shape[1]
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, not {gamma}")
+    if gamma == math.inf:  # inf * 0 is NaN: the kernel of a point with itself
+        raise ValueError("gamma must be finite, not inf")
     class_cost = (
         params.class_cost if params.class_cost is not None else default_class_cost(y01)
     )
+    for label in (0, 1):
+        if not 0 < params.C * class_cost[label] < math.inf:
+            raise ValueError(f"C * class_cost[{label}] must be finite and positive, "
+                             f"not {params.C} * {class_cost[label]}")
+    if not 0 < params.tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, not {params.tolerance}")
+    if params.max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, not {params.max_iter}")
     y = np.where(y01 == 1, 1.0, -1.0)
     C = np.array([params.C * class_cost[int(lbl)] for lbl in y01])
 
@@ -148,7 +159,6 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
         return _rbf_block(X_cols[:, cols], sq, X[i : i + 1, cols], sq[i : i + 1], gamma)[:, 0]
 
     rng = random.Random(params.seed)
-    trace: list[float] = []
 
     converged = False
     iterations = 0
@@ -200,9 +210,6 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
         alpha[j] += d_j
         grad += (y * y[i] * Ki) * d_i + (y * y[j] * Kj) * d_j
         iterations += 1
-        if params.track_objective:
-            # Dual objective: sum(a) - a'Qa/2, with a'Qa = a.(grad + 1).
-            trace.append(float((alpha.sum() - alpha @ grad) / 2.0))
 
     # Bias from free support vectors, else the violation-gap midpoint.
     scores = -y * grad
@@ -221,7 +228,6 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
         tolerance=params.tolerance,
         max_iter=params.max_iter,
         seed=params.seed,
-        track_objective=params.track_objective,
     )
     return TrainedModel(
         support_vectors=X[sv].copy(),
@@ -233,7 +239,6 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
         converged=converged,
         n_iterations=iterations,
         kkt_gap=kkt_gap,
-        objective_trace=trace,
     )
 
 
@@ -413,14 +418,14 @@ def contingency_table(
 MODEL_FORMAT_VERSION = 2
 
 
-def model_to_json_obj(model: TrainedModel) -> dict:
-    """The model as a JSON object; support vectors as CSR rows (sv_indptr,
+def dump_model(model: TrainedModel) -> str:
+    """The model as JSON text; support vectors as CSR rows (sv_indptr,
     sv_indices, sv_values) over n_features columns."""
     sv = model.support_vectors
     rows, cols = np.nonzero(sv)
     indptr = np.zeros(len(sv) + 1, dtype=int)
     np.cumsum(np.bincount(rows, minlength=len(sv)), out=indptr[1:])
-    return {
+    obj = {
         "version": MODEL_FORMAT_VERSION,
         "params": {
             "C": model.params.C,
@@ -442,6 +447,7 @@ def model_to_json_obj(model: TrainedModel) -> dict:
         "sv_labels": model.sv_labels.astype(float).tolist(),
         "alphas": model.alphas.astype(float).tolist(),
     }
+    return json.dumps(obj, sort_keys=True)
 
 
 _NUMBER = (int, float)
@@ -510,15 +516,14 @@ def _support_vectors(obj: dict, n_sv: int) -> np.ndarray:
     return sv
 
 
-def model_from_json_obj(
-    obj: dict, feature_names: tuple[str, ...] | None = None
-) -> TrainedModel:
-    """The model a JSON object describes; a ValueError names any bad key.
+def load_model(text: str, feature_names: tuple[str, ...] | None = None) -> TrainedModel:
+    """The model JSON text describes; a ValueError names any bad key.
 
     Given feature_names, a model whose stored names differ (or that stores
     none) is refused before its support vectors are built, so an unnamed
     model's n_features allocates nothing.
     """
+    obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("model is not a JSON object")
     if obj.get("version") != MODEL_FORMAT_VERSION:
@@ -564,11 +569,3 @@ def model_from_json_obj(
         kkt_gap=obj["kkt_gap"],
         feature_names=stored_names,
     )
-
-
-def dump_model(model: TrainedModel) -> str:
-    return json.dumps(model_to_json_obj(model), sort_keys=True)
-
-
-def load_model(text: str, feature_names: tuple[str, ...] | None = None) -> TrainedModel:
-    return model_from_json_obj(json.loads(text), feature_names)

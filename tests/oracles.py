@@ -114,6 +114,18 @@ def rbf_decision_bruteforce(support_vectors, alphas, sv_labels, bias, gamma, X):
     return np.array(values)
 
 
+def svm_dual_objective(model) -> float:
+    """A trained model's dual objective sum(a) - a'Qa/2 over its support vectors.
+
+    Q_ij = y_i y_j K(sv_i, sv_j), each kernel value from explicit differences
+    (rbf_decision_bruteforce with zero bias), not from the solver's gradient.
+    """
+    sv = model.support_vectors
+    kernel_sums = rbf_decision_bruteforce(sv, model.alphas, model.sv_labels, 0.0,
+                                          model.gamma, sv)
+    return float(model.alphas.sum() - 0.5 * (model.alphas * model.sv_labels) @ kernel_sums)
+
+
 def svm_dual_qp(X, y01, C_per_example, gamma):
     """Solve the soft-margin dual with a generic convex-QP solver.
 

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +213,34 @@ class TestFeaturizeCommand:
         seqs = [json.loads(l) for l in (out / "sequences.jsonl").read_text().splitlines()]
         assert {s["setup"] for s in seqs} == {"curr"}  # flag beats config
 
+    def test_config_keys_of_every_command_accepted(self, tmp_path, events_dir):
+        config = tmp_path / "run.cfg"
+        config.write_text("model=baseline\nsvm_c=2.0\nmin_unique_viewers=3\nseed=4\n")
+        out = tmp_path / "cfg_out"
+        assert run("featurize", "--events", events_dir / "events.jsonl",
+                   "--out-dir", out, "--config", config) == 0
+        assert any(name.startswith("ng:") for name in
+                   json.loads((out / "features.json").read_text()))  # the model alias
+
+    def test_missing_config_exit_2(self, tmp_path, events_dir, capsys):
+        missing = tmp_path / "missing.cfg"
+        code = run("featurize", "--events", events_dir / "events.jsonl",
+                   "--out-dir", tmp_path / "o", "--config", missing)
+        assert code == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == cli.EXIT_BAD_INPUT and str(missing) in err["error"]
+
+    def test_unknown_config_key_exit_2(self, tmp_path, events_dir, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("# typo below\nsetup=curr\nsvm_C=5\n")
+        code = run("featurize", "--events", events_dir / "events.jsonl",
+                   "--out-dir", tmp_path / "o", "--config", config)
+        assert code == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == cli.EXIT_BAD_INPUT
+        assert "line 3" in err["error"] and "'svm_C'" in err["error"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestTrainEvalCommands:
     def test_train_eval_roundtrip(self, tmp_path, featurized_dir):
@@ -246,6 +276,10 @@ class TestTrainEvalCommands:
             ("3=1.0", "item '3=1.0' is not int:float"),
             ("x:1.0", "item 'x:1.0' is not int:float"),
             ("2:abc", "item '2:abc' is not int:float"),
+            ("1_0:1.0", "item '1_0:1.0' is not int:float"),
+            ("\u0661\u0662:2.5", "item '\u0661\u0662:2.5' is not int:float"),
+            ("3:1_0.5", "item '3:1_0.5' is not int:float"),
+            ("+3:1.0", "item '+3:1.0' is not int:float"),
             ("2:nan", "column 2 value 'nan' is not finite"),
             ("2:inf", "column 2 value 'inf' is not finite"),
             ("2:1e200", "squared norm is not finite"),
@@ -273,6 +307,28 @@ class TestTrainEvalCommands:
                    "--svm-gamma", gamma)
         assert code == cli.EXIT_BAD_INPUT
         assert "gamma" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flags, name", [
+        pytest.param(flags.split(), name, id=flags) for flags, name in [
+            ("--svm-c 0", "C * class_cost"),
+            ("--svm-c -1", "C * class_cost"),
+            ("--svm-c nan", "C * class_cost"),
+            ("--cost0 -1 --cost1 1", "C * class_cost[0]"),
+            ("--svm-tolerance nan", "tolerance"),
+            ("--svm-tolerance 0", "tolerance"),
+            ("--svm-max-iter -3", "max_iter"),
+            ("--svm-gamma inf", "gamma"),
+            ("--cost0 2", "cost0 and cost1"),
+            ("--cost1 2", "cost0 and cost1"),
+        ]
+    ])
+    def test_bad_svm_param_exit_2(self, tmp_path, featurized_dir, capsys, flags, name):
+        code = run("train", "--train", featurized_dir / "train.txt", "--features",
+                   featurized_dir / "features.json", "--out", tmp_path / "m.json", *flags)
+        assert code == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == cli.EXIT_BAD_INPUT and name in err["error"]
         assert not (tmp_path / "m.json").exists()
 
     def test_eval_rejects_renamed_features(self, tmp_path, featurized_dir, capsys):
@@ -612,6 +668,16 @@ class TestImportCost:
         argv = "featurize --events {d}/events.jsonl --out-dir {d}/graph --model graph"
         assert self._loaded(pipeline_dir, argv) == ["mooctrace.actgraph"]
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param("featurize --events {d}/events.jsonl --out-dir {d}/graph2 --model graph",
+                     id="featurize-graph"),
+        pytest.param("report --events {d}/events.jsonl --out-dir {d}/report", id="report"),
+    ])
+    def test_graph_commands_leave_fractions_out(self, pipeline_dir, argv):
+        # Betweenness is exact in integers: no command needs rational numbers.
+        args = [arg.format(d=pipeline_dir) for arg in argv.split()]
+        assert json.loads(_probe(_MODULES_AFTER_COMMAND, *args, "fractions")) == []
+
 
 class TestAtomicWrite:
     def test_stale_tmp_directory_does_not_block(self, tmp_path):
@@ -655,3 +721,37 @@ class TestDeterminism:
                 )
             )
         assert outputs[0] == outputs[1]
+
+
+class TestParser:
+    OPTIONS = {
+        "synth": "--out-dir --students --weeks --signal --mix --seed",
+        "ingest": "--clicks --forum --out-dir --min-viewers --config",
+        "featurize": "--events --out-dir --rare-threshold --test-id-min --test-id-max "
+                     "--config --course-start --setup --model",
+        "train": "--train --features --out --svm-c --svm-gamma --svm-tolerance "
+                 "--svm-max-iter --cost0 --cost1 --config --seed",
+        "eval": "--model-file --model-file-b --test --features --out --ttest-out",
+        "report": "--events --out-dir --student --week --config --course-start --setup",
+    }
+
+    def test_each_command_registers_only_what_it_reads(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: " ".join(option for action in sub._actions for option in action.option_strings
+                           if option not in ("-h", "--help"))
+            for name, sub in commands.choices.items()
+        }
+        assert options == self.OPTIONS
+
+    def test_readme_walkthrough_runs(self, tmp_path, monkeypatch):
+        # Every command line of README's walkthrough, continuations joined.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1]
+        lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("mooctrace ")]
+        assert [argv[0] for argv in commands] == list(self.OPTIONS)
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert cli.main(argv) == 0, argv

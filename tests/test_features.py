@@ -7,7 +7,6 @@ from mooctrace.events import ActivityToken as T
 from mooctrace.events import Event
 from mooctrace.footprint import (
     SECONDS_PER_WEEK,
-    Setup,
     build_curr_sequences,
     build_tcurr_sequences,
 )
@@ -117,14 +116,14 @@ class TestSequenceLength:
     @pytest.mark.parametrize("tokens,expected", [(MIXED_WEEK_SEQ, 7), ([T.PL], 1)])
     def test_lengths(self, tokens, expected):
         curr, tcurr = build_sequences({1: {1: tokens}})
-        ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.GRAPH)
+        ds = ft.assemble_dataset(curr, ft.ModelFamily.GRAPH)
         assert ds.instances[0].features["ctl:seq_length"] == expected
 
 
 class TestAssembleDataset:
     def test_labels_mark_last_participation_week(self):
         curr, tcurr = build_sequences(THREE_WEEK_LAYOUT)
-        ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.BASELINE)
+        ds = ft.assemble_dataset(curr, ft.ModelFamily.BASELINE)
         labels = {fv.instance_id: fv.label for fv in ds.instances}
         assert labels == {(1, 1): 0, (1, 2): 0, (1, 3): 1, (2, 2): 1}
 
@@ -134,7 +133,7 @@ class TestAssembleDataset:
 
     def test_exactly_one_positive_per_student(self):
         curr, tcurr = build_sequences(THREE_WEEK_LAYOUT)
-        ds = ft.assemble_dataset(curr, tcurr, Setup.TCURR, ft.ModelFamily.GRAPH)
+        ds = ft.assemble_dataset(tcurr, ft.ModelFamily.GRAPH)
         per_student = {}
         for fv in ds.instances:
             sid = fv.instance_id[0]
@@ -143,7 +142,7 @@ class TestAssembleDataset:
 
     def test_controls_present(self):
         curr, tcurr = build_sequences(THREE_WEEK_LAYOUT)
-        ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.GRAPH)
+        ds = ft.assemble_dataset(curr, ft.ModelFamily.GRAPH)
         fv = ds.instances[0]  # student 1, week 1: PL PA
         assert fv.features["ctl:courseweek"] == 1.0
         assert fv.features["ctl:userweek"] == 1.0
@@ -152,7 +151,7 @@ class TestAssembleDataset:
 
     def test_graph_family_features(self):
         curr, tcurr = build_sequences({1: {1: [T.Vt, T.Po, T.Vt, T.Po, T.Po]}})
-        ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.GRAPH)
+        ds = ft.assemble_dataset(curr, ft.ModelFamily.GRAPH)
         feats = ds.instances[0].features
         assert feats["graph:num_nodes"] == 2.0
         assert feats["graph:num_edges"] == 4.0
@@ -168,7 +167,7 @@ class TestAssembleDataset:
         curr, tcurr = build_sequences(THREE_WEEK_LAYOUT)
         names = {}
         for family in ft.ModelFamily:
-            ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, family)
+            ds = ft.assemble_dataset(curr, family)
             names[family] = set().union(*(fv.features for fv in ds.instances))
         assert names[ft.ModelFamily.COMBINED] == (
             names[ft.ModelFamily.BASELINE] | names[ft.ModelFamily.GRAPH]
@@ -180,14 +179,14 @@ class TestSplitByStudent:
         curr, tcurr = build_sequences(
             {5: {1: [T.PL]}, 800000: {1: [T.PA], 2: [T.Vt]}}
         )
-        ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.BASELINE)
+        ds = ft.assemble_dataset(curr, ft.ModelFamily.BASELINE)
         train, test = ft.split_by_student(ds, 798619, 1882807)
         assert {fv.instance_id[0] for fv in train.instances} == {5}
         assert {fv.instance_id[0] for fv in test.instances} == {800000}
 
     def test_empty_test_warns(self):
         curr, tcurr = build_sequences({5: {1: [T.PL]}})
-        ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.BASELINE)
+        ds = ft.assemble_dataset(curr, ft.ModelFamily.BASELINE)
         with pytest.warns(UserWarning, match="test split is empty"):
             _, test = ft.split_by_student(ds, 100, 200)
         assert test.instances == []
@@ -199,7 +198,7 @@ class TestSplitByStudent:
             for sid in rng.sample(range(1, 2_000_000), 30)
         }
         curr, tcurr = build_sequences(layout)
-        ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.BASELINE)
+        ds = ft.assemble_dataset(curr, ft.ModelFamily.BASELINE)
         lo, hi = 500_000, 1_500_000
         train, test = ft.split_by_student(ds, lo, hi)
         train_ids = {fv.instance_id[0] for fv in train.instances}
@@ -223,7 +222,7 @@ class TestRareThreshold:
                 if row < support:
                     feats[f"ng:f{k}"] = 1.0
             instances.append(ft.FeatureVector((row, 1), feats, row % 2))
-        make = lambda inst: ft.Dataset(inst, Setup.CURR, ft.ModelFamily.BASELINE)
+        make = lambda inst: ft.Dataset(inst, ft.ModelFamily.BASELINE)
         train, test = ft.finalize_split(make(instances), make([]), threshold)
         assert test.instances == [] and test.feature_index == train.feature_index
         return instances, train
@@ -267,9 +266,9 @@ class TestFinalizeSplit:
         800000: {1: [T.PL, T.FW, T.PL], 2: [T.Po, T.Vt]},
     }
 
-    def finalized(self, setup=Setup.CURR, family=ft.ModelFamily.COMBINED):
-        curr, tcurr = build_sequences(self.LAYOUT)
-        ds = ft.assemble_dataset(curr, tcurr, setup, family)
+    def finalized(self, family=ft.ModelFamily.COMBINED):
+        curr, _ = build_sequences(self.LAYOUT)
+        ds = ft.assemble_dataset(curr, family)
         train, test = ft.split_by_student(ds, 798619, 1882807)
         return ft.finalize_split(train, test, rare_threshold=0)
 
@@ -296,7 +295,7 @@ class TestFinalizeSplit:
         # that finalize_split fits, nor any other row.
         train, test = self.finalized()
         curr, tcurr = build_sequences({**self.LAYOUT, 900000: {40: [T.Po, T.FW] * 15}})
-        ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.COMBINED)
+        ds = ft.assemble_dataset(curr, ft.ModelFamily.COMBINED)
         train_b, test_b = ft.finalize_split(
             *ft.split_by_student(ds, 798619, 1882807), rare_threshold=0
         )
@@ -352,7 +351,7 @@ class TestFinalizeSplit:
     def test_golden_export(self, family):
         # Every n-gram and the test-only FW features fall below support 2.
         curr, tcurr = build_sequences(self.LAYOUT)
-        ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, family)
+        ds = ft.assemble_dataset(curr, family)
         train, test = ft.finalize_split(
             *ft.split_by_student(ds, 798619, 1882807), rare_threshold=2
         )
@@ -366,7 +365,7 @@ class TestFinalizeSplit:
 class TestMatrixRoundTrip:
     def test_sparse_export_parses_back(self):
         curr, tcurr = build_sequences(THREE_WEEK_LAYOUT)
-        ds = ft.assemble_dataset(curr, tcurr, Setup.CURR, ft.ModelFamily.GRAPH)
+        ds = ft.assemble_dataset(curr, ft.ModelFamily.GRAPH)
         train, test = ft.split_by_student(ds, 2, 2)
         train, test = ft.finalize_split(train, test, rare_threshold=0)
         index = train.feature_index
@@ -377,7 +376,8 @@ class TestMatrixRoundTrip:
 
     @pytest.mark.parametrize("item", ["5:1.0", "-1:5.0", "x:1.0", "1:abc", "3", "1.5:2.0",
                                       "2:nan", "2:inf", "2:-inf", "2:1e400", "2:1e200",
-                                      "0:2.0", "3:1.0 2:1.0"])
+                                      "0:2.0", "3:1.0 2:1.0", "1_0:1.0", "\u0661\u0662:2.5",
+                                      "3:1_0.5", "+3:1.0"])
     def test_read_sparse_rejects_bad_items(self, item):
         with pytest.raises(ValueError):
             ft.read_sparse(f"1 0:1.0 {item}\n", 5)

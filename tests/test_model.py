@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,12 +7,11 @@ import pytest
 from scipy import stats as scipy_stats
 
 from mooctrace import model as m
-from oracles import rbf_decision_bruteforce, svm_dual_qp
+from oracles import rbf_decision_bruteforce, svm_dual_objective, svm_dual_qp
 
 TOY_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 TOY_Y = np.array([0, 0, 1, 1])
-TOY_PARAMS = m.SvmParams(C=10.0, gamma=1.0, class_cost={0: 1.0, 1: 1.0},
-                         track_objective=True)
+TOY_PARAMS = m.SvmParams(C=10.0, gamma=1.0, class_cost={0: 1.0, 1: 1.0})
 
 
 def kernel_value(x, y, gamma):
@@ -118,7 +118,7 @@ class TestSmoTraining:
     def test_toy_matches_qp_oracle_objective(self):
         model = m.fit_svm(TOY_X, TOY_Y, TOY_PARAMS)
         _, qp_objective = svm_dual_qp(TOY_X, TOY_Y, [10.0] * 4, gamma=1.0)
-        smo_objective = model.objective_trace[-1]
+        smo_objective = svm_dual_objective(model)
         assert smo_objective == pytest.approx(qp_objective, rel=1e-4, abs=1e-6)
 
     def test_kkt_constraints_hold(self):
@@ -131,9 +131,13 @@ class TestSmoTraining:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))
         y = (X[:, 0] + 0.3 * rng.normal(size=40) > 0).astype(int)
-        params = m.SvmParams(C=2.0, gamma=0.8, track_objective=True, seed=1)
+        params = m.SvmParams(C=2.0, gamma=0.8, seed=1)
         model = m.fit_svm(X, y, params)
-        trace = np.array(model.objective_trace)
+        # The objective after step k is that of the model stopped at k steps.
+        trace = np.array([
+            svm_dual_objective(m.fit_svm(X, y, dataclasses.replace(params, max_iter=k)))
+            for k in range(1, model.n_iterations + 1)
+        ])
         assert len(trace) > 1
         assert np.all(np.diff(trace) >= -1e-9)
 
@@ -381,7 +385,7 @@ class TestSerialization:
         obj = json.loads(m.dump_model(m.fit_svm(TOY_X, TOY_Y, TOY_PARAMS)))
         obj["version"] = 99
         with pytest.raises(ValueError, match="version"):
-            m.model_from_json_obj(obj)
+            m.load_model(json.dumps(obj))
 
     def test_zero_alpha_model_is_constant(self):
         empty = m.TrainedModel(
