@@ -93,8 +93,8 @@ class PipelineConfig:
         )
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment. Keys are _CONFIG_CASTS's or "model"."""
+def load_config_file(path: str) -> dict[str, object]:
+    """Flat key=value lines cast by _CONFIG_CASTS ("model" as model_family); '#' comments."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -105,11 +105,15 @@ def load_config_file(path: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise CommandError(EXIT_BAD_INPUT, f"bad config line: {raw!r}")
+            raise CommandError(EXIT_BAD_INPUT, f"{path} line {number}: not key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_CASTS and key != "model":
+        cast = _CONFIG_CASTS.get("model_family" if key == "model" else key)
+        if cast is None:
             raise CommandError(EXIT_BAD_INPUT, f"{path} line {number}: unknown key {key!r}")
-        values[key] = value
+        try:
+            values[key] = cast(value)
+        except ValueError as exc:
+            raise CommandError(EXIT_BAD_INPUT, f"{path} line {number}: {key}: {exc}") from exc
     return values
 
 
@@ -138,7 +142,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         file_values.setdefault("model_family", file_values.pop("model"))
     for key, cast in _CONFIG_CASTS.items():
         if key in file_values:
-            setattr(cfg, key, cast(file_values[key]))
+            setattr(cfg, key, file_values[key])
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, cast(flag) if not isinstance(flag, (int, float)) else flag)
@@ -331,6 +335,8 @@ def _evaluate_model(model_path: str, X: np.ndarray, y: np.ndarray, names: tuple)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.ttest_out and not args.model_file_b:
+        raise CommandError(EXIT_BAD_INPUT, "--ttest-out needs --model-file-b")
     from mooctrace import model as svm
 
     (X, y), names = _load_matrix(args.test, args.features)
@@ -408,6 +414,8 @@ def _analysis_columns(sequences, graph_metrics):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if (args.student is None) != (args.week is None):
+        raise CommandError(EXIT_BAD_INPUT, "--student and --week go together")
     # interaction_gain_ranking and contingency_table live in model, so report
     # loads numpy too.
     from mooctrace import actgraph, model as svm
@@ -419,8 +427,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     sequences = _build_sequences(events, cfg)
     out = Path(args.out_dir)
 
-    if (args.student is None) != (args.week is None):
-        raise CommandError(EXIT_BAD_INPUT, "--student and --week go together")
     if args.student is not None:
         key = (args.student, args.week)
         if key not in sequences:

@@ -10,8 +10,8 @@ mistyped field, and a ``t`` or ``rate`` too large for a float.
 ``events_to_jsonl`` writes encoded events as fixed-format JSON lines, the
 same bytes ``json.dumps(obj, sort_keys=True)`` gives for each event the
 parsers can produce, without building a dict or an encoder per event.
-``events_from_jsonl`` reads them back: that exact format in one regex pass,
-any other JSON-lines with the same fields line by line.
+``events_from_jsonl`` reads them back in one regex pass and refuses any
+other text, naming its first bad line. It is the only reader of that format.
 
 Records are named tuples, so ``Event``s sort by (student, timestamp, token)
 without a key function.
@@ -28,7 +28,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import IO, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class ActivityToken(IntEnum):
@@ -128,18 +128,6 @@ class ParseDiagnostic:
         return {"line": self.line_no, "reason": self.reason}
 
 
-def _iter_text_lines(stream: IO | Iterable) -> Iterable[tuple[int, str | None, str | None]]:
-    """Yield (line_no, text, decode_error) decoding bytes lines as UTF-8."""
-    for line_no, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            try:
-                yield line_no, raw.decode("utf-8"), None
-            except UnicodeDecodeError:
-                yield line_no, None, "line is not valid UTF-8"
-        else:
-            yield line_no, raw, None
-
-
 def _to_float(x: int | float) -> float:
     """float(x), with an int beyond float range (such as 10**400) read as inf."""
     try:
@@ -207,9 +195,11 @@ def _parse_forum_line(obj: dict) -> RawForumEvent:
 def _parse_log(stream, parse_line) -> tuple[list, list[ParseDiagnostic]]:
     events = []
     diagnostics = []
-    for line_no, text, decode_err in _iter_text_lines(stream):
-        if decode_err is not None:
-            diagnostics.append(ParseDiagnostic(line_no, decode_err))
+    for line_no, raw in enumerate(stream, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            diagnostics.append(ParseDiagnostic(line_no, "line is not valid UTF-8"))
             continue
         if not text.strip():
             continue
@@ -232,8 +222,9 @@ def _parse_log(stream, parse_line) -> tuple[list, list[ParseDiagnostic]]:
 def parse_clickstream_log(stream) -> tuple[list[RawClickEvent], list[ParseDiagnostic]]:
     """Parse a JSON-lines clickstream log, collecting per-line diagnostics.
 
-    Well-formed lines become events in file order; malformed lines never
-    abort the parse. I/O errors from the stream propagate.
+    ``stream`` yields lines as bytes (a file opened ``"rb"``), each decoded
+    as UTF-8. Well-formed lines become events in file order; malformed lines
+    never abort the parse. I/O errors from the stream propagate.
     """
     return _parse_log(stream, _parse_click_line)
 
@@ -378,19 +369,13 @@ def events_to_jsonl(events: Iterable[Event]) -> str:
     )
 
 
-def event_from_json_obj(obj: dict) -> Event:
-    t = float(obj["t"])
-    if not math.isfinite(t):
-        raise ValueError("t must be a finite number")
-    return Event(int(obj["sid"]), t, ActivityToken[obj["token"]])
-
-
 # Exactly one line as events_to_jsonl writes it: sid in JSON integer grammar,
-# t in JSON number grammar without a sign (ingest writes no negative t), and a
-# bare token name. [0-9], not \d, which also matches non-ASCII digits.
+# t in JSON number grammar without a sign or the literal -0.0 (ingest admits a
+# raw t of -0.0 and writes it back as such), and a bare token name. [0-9], not
+# \d, which also matches non-ASCII digits.
 _EVENT_LINE = re.compile(
     r'^\{"sid": (-?(?:0|[1-9][0-9]*)), '
-    r'"t": ((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), '
+    r'"t": ((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|-0\.0), '
     r'"token": "([A-Za-z]+)"\}\n',
     re.MULTILINE,
 )
@@ -401,10 +386,9 @@ def events_from_jsonl(text: str) -> list[Event]:
     """The events of an events.jsonl text, in file order.
 
     Reads what ``events_to_jsonl`` writes in one regex pass. Any other text
-    (other spacing or key order, blank lines, CRLF, no final newline, a
-    non-finite t, an sid past the int digit limit, an unknown token) is read
-    line by line through ``event_from_json_obj``, which accepts the same
-    events and names the first bad line in a ValueError.
+    (other spacing or key order, a blank line, CRLF, no final newline, a
+    non-finite t, an sid past the int digit limit, an unknown token) raises
+    a ValueError naming its first bad line, found line by line only then.
     """
     rows = _EVENT_LINE.findall(text)
     # Each match is one whole line, so equal counts mean every line matched.
@@ -416,23 +400,19 @@ def events_from_jsonl(text: str) -> list[Event]:
         else:
             if all(math.isfinite(e.timestamp) for e in events):
                 return events
-    return _events_from_lines(text)
-
-
-def _events_from_lines(text: str) -> list[Event]:
-    events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    # Every line before the first bad one is plain ASCII, so splitlines'
+    # extra separators can only split the bad line itself.
+    for line_no, line in enumerate(text.splitlines(keepends=True), start=1):
+        match = _EVENT_LINE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"line {line_no}: not a line as ingest writes it: {line!r:.80}")
+        sid, t, name = match.groups()
+        if name not in _TOKENS:
+            raise ValueError(f"line {line_no}: unknown token {name!r}")
+        if not math.isfinite(float(t)):
+            raise ValueError(f"line {line_no}: t must be a finite number")
         try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise ValueError("not a JSON object")
-            events.append(event_from_json_obj(obj))
-        except KeyError as exc:
-            missing = sorted({"sid", "t", "token"} - obj.keys())
-            what = f"missing field {missing[0]!r}" if missing else f"unknown token {exc}"
-            raise ValueError(f"line {lineno}: {what}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-    return events
+            int(sid)
+        except ValueError as exc:  # past the int digit limit
+            raise ValueError(f"line {line_no}: sid: {exc}") from exc
+    raise ValueError("not an events.jsonl text as ingest writes it")

@@ -141,13 +141,9 @@ class TestFeaturizeCommand:
         assert code == cli.EXIT_EMPTY_EVENTS
 
     def test_instance_count_matches_active_student_weeks(self, events_dir, featurized_dir):
-        from mooctrace.events import event_from_json_obj
         from mooctrace.footprint import build_curr_sequences
 
-        events = [
-            event_from_json_obj(json.loads(line))
-            for line in (events_dir / "events.jsonl").read_text().splitlines()
-        ]
+        events = ev.events_from_jsonl((events_dir / "events.jsonl").read_text())
         expected = len(build_curr_sequences(events))
         n_train = len((featurized_dir / "train.txt").read_text().splitlines())
         n_test = len((featurized_dir / "test.txt").read_text().splitlines())
@@ -174,7 +170,7 @@ class TestFeaturizeCommand:
         assert indexes["combined"] == indexes["baseline"] | indexes["graph"]
 
     @pytest.mark.parametrize(
-        "line, reason",
+        "line, defect",
         [
             ('{"sid":1,"t":1.0}', "missing field 'token'"),
             ('{"sid":1,"t":1.0,"token":"XX"}', "unknown token 'XX'"),
@@ -185,22 +181,18 @@ class TestFeaturizeCommand:
             ('{"sid":Infinity,"t":1.0,"token":"PL"}', "cannot convert float infinity"),
         ],
     )
-    def test_malformed_event_line_exit_2(self, tmp_path, capsys, line, reason):
+    def test_malformed_event_line_exit_2(self, tmp_path, capsys, line, defect):
         events = tmp_path / "events.jsonl"
-        events.write_text('{"sid":1,"t":0.0,"token":"PL"}\n\n' + line + "\n")
+        events.write_text('{"sid": 1, "t": 0.0, "token": "PL"}\n'
+                          '{"sid": 1, "t": 5.0, "token": "Vf"}\n' + line + "\n")
         code = run("featurize", "--events", events, "--out-dir", tmp_path / "o")
         assert code == cli.EXIT_BAD_INPUT
-        err = json.loads(capsys.readouterr().err)
-        assert "line 3" in err["error"] and reason in err["error"]
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err.startswith(f"{events} line 3: ") and line in err, defect
 
-    def test_ingest_output_takes_fast_path(self, events_dir, monkeypatch):
-        calls = []
-        read_line = ev.event_from_json_obj
-        monkeypatch.setattr(ev, "event_from_json_obj",
-                            lambda obj: calls.append(obj) or read_line(obj))
+    def test_ingest_output_takes_fast_path(self, events_dir):
         text = (events_dir / "events.jsonl").read_text()
         read = ev.events_from_jsonl(text)
-        assert calls == []
         assert len(read) == text.count("\n") > 0
         assert ev.events_to_jsonl(read) == text
 
@@ -241,6 +233,37 @@ class TestFeaturizeCommand:
         assert "line 3" in err["error"] and "'svm_C'" in err["error"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("rare_threshold=abc", "rare_threshold: invalid literal for int() with base 10: 'abc'"),
+        ("setup=weekly", "setup: 'weekly' is not a valid Setup"),
+        ("svm_c=x", "svm_c: could not convert string to float: 'x'"),
+        ("svm_c", "not key=value: 'svm_c'"),
+    ])
+    def test_bad_config_value_exit_2(self, tmp_path, events_dir, capsys, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# bad value below\nsetup=curr\n{line}\n")
+        code = run("featurize", "--events", events_dir / "events.jsonl",
+                   "--out-dir", tmp_path / "o", "--config", config)
+        assert code == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == f"{config} line 3: {message}"
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_zero_t_goes_through(self, tmp_path):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        clicks = [{"sid": sid, "t": t, "vid": "v", "kind": "play"}
+                  for sid, t in ((1, -0.0), (1, 700000.0), (800000, -0.0))]
+        (logs / "clicks.jsonl").write_text("".join(json.dumps(c) + "\n" for c in clicks))
+        (logs / "forum.jsonl").write_text(
+            json.dumps({"sid": 800000, "t": -0.0, "kind": "post"}) + "\n")
+        out = tmp_path / "ingested"
+        assert run("ingest", "--clicks", logs / "clicks.jsonl", "--forum", logs / "forum.jsonl",
+                   "--out-dir", out, "--min-viewers", 1) == 0
+        assert '"t": -0.0' in (out / "events.jsonl").read_text()
+        assert run("featurize", "--events", out / "events.jsonl", "--out-dir", tmp_path / "f",
+                   "--rare-threshold", 0) == 0
+
 
 class TestTrainEvalCommands:
     def test_train_eval_roundtrip(self, tmp_path, featurized_dir):
@@ -268,6 +291,15 @@ class TestTrainEvalCommands:
                    "--out", tmp_path / "r.json", "--ttest-out", ttest_path) == 0
         ttest = json.loads(ttest_path.read_text())
         assert ttest["t"] == 0.0 and ttest["p"] == 1.0
+
+    def test_ttest_out_without_model_b_exit_2(self, tmp_path, capsys):
+        # Checked before any input is read: none of these files exists.
+        code = run("eval", "--model-file", tmp_path / "m.json", "--test", tmp_path / "test.txt",
+                   "--features", tmp_path / "features.json", "--out", tmp_path / "r.json",
+                   "--ttest-out", tmp_path / "ttest.json")
+        assert code == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == "--ttest-out needs --model-file-b"
 
     @pytest.mark.parametrize("item, reason", [
         pytest.param(item, reason, id=item) for item, reason in [
@@ -510,7 +542,7 @@ class TestTrainEvalCommands:
         # Every student participates exactly one week: all labels are 1.
         events = tmp_path / "events.jsonl"
         events.write_text(
-            '{"sid":1,"t":100.0,"token":"PL"}\n{"sid":2,"t":200.0,"token":"Vf"}\n'
+            '{"sid": 1, "t": 100.0, "token": "PL"}\n{"sid": 2, "t": 200.0, "token": "Vf"}\n'
         )
         out = tmp_path / "f"
         with pytest.warns(UserWarning, match="test split is empty"):
@@ -526,6 +558,15 @@ class TestReportCommand:
         code = run("report", "--events", events_dir / "events.jsonl",
                    "--out-dir", tmp_path / "r", "--student", 999999, "--week", 1)
         assert code == cli.EXIT_UNKNOWN_INSTANCE
+
+    @pytest.mark.parametrize("flag", ["--student", "--week"])
+    def test_student_and_week_go_together(self, tmp_path, capsys, flag):
+        # Checked before events.jsonl is read: it does not exist.
+        code = run("report", "--events", tmp_path / "events.jsonl",
+                   "--out-dir", tmp_path / "r", flag, 1)
+        assert code == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == "--student and --week go together"
 
     def test_selected_instance_dot(self, tmp_path, events_dir):
         events = [json.loads(l) for l in (events_dir / "events.jsonl").read_text().splitlines()]

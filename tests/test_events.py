@@ -92,6 +92,12 @@ class TestParseClickstream:
         parsed, diags = ev.parse_clickstream_log(io.BytesIO(b"{nope\n"))
         assert parsed == [] and "invalid JSON" in diags[0].reason
 
+    def test_undecodable_line_is_one_diagnostic(self):
+        stream = io.BytesIO(b'{"sid":1,"t":1,"vid":"v","kind":"play"}\n\xff\n')
+        parsed, diags = ev.parse_clickstream_log(stream)
+        assert len(parsed) == 1
+        assert diags == [ev.ParseDiagnostic(2, "line is not valid UTF-8")]
+
     def test_blank_lines_skipped(self):
         stream = io.BytesIO(b'\n{"sid":1,"t":1,"vid":"v","kind":"play"}\n\n')
         parsed, diags = ev.parse_clickstream_log(stream)
@@ -328,16 +334,23 @@ class TestEncodeEvents:
         line = ev.events_to_jsonl([e])
         expected = {"sid": sid, "t": t, "token": token.name}
         assert line == json.dumps(expected, sort_keys=True) + "\n"
-        back = ev.event_from_json_obj(json.loads(line))
-        assert back == e and ev.events_to_jsonl([back]) == line
+        back = ev.events_from_jsonl(line)
+        assert back == [e] and ev.events_to_jsonl(back) == line
 
 
-def read_outcome(read, text):
-    """The events a reader returns, or the message of the ValueError it raises."""
-    try:
-        return read(text)
-    except ValueError as exc:
-        return str(exc)
+# Raw log values ingest accepts, and some it refuses: t = -0.0 passes its
+# t < 0 check, ints past 2**53 round, and ints past float range overflow.
+RAW_SIDS = st.integers() | st.integers(min_value=-(10**4299), max_value=10**4299)
+RAW_TIMES = (
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 2**53 + 1, 10**400])
+    | st.floats(min_value=0.0, allow_infinity=False)
+    | st.floats(min_value=0.0, max_value=2.2250738585072014e-308)
+    | st.integers(min_value=2**53, max_value=2**1100)
+)
+
+
+def jsonl_stream(objs):
+    return io.BytesIO("".join(json.dumps(obj) + "\n" for obj in objs).encode())
 
 
 class TestEventsFromJsonl:
@@ -359,30 +372,58 @@ class TestEventsFromJsonl:
         assert back == events and ev.events_to_jsonl(back) == text
         assert all(type(e) is ev.Event for e in back)
 
-    @pytest.mark.parametrize("text", [
-        pytest.param('{"sid":1,"t":2.5,"token":"PL"}\n', id="compact"),
-        pytest.param('{"token": "PL", "t": 2.5, "sid": 1}\n', id="reordered-keys"),
+    @given(
+        clicks=st.lists(st.fixed_dictionaries({
+            "sid": RAW_SIDS, "t": RAW_TIMES, "vid": st.sampled_from(["v1", "v2"]),
+            "kind": st.sampled_from(ev.CLICK_KINDS),
+            "dir": st.sampled_from(ev.SEEK_DIRECTIONS), "rate": st.floats(0.25, 4.0),
+        }), max_size=12),
+        forums=st.lists(st.fixed_dictionaries({
+            "sid": RAW_SIDS, "t": RAW_TIMES,
+            "kind": st.sampled_from(sorted(ev.FORUM_KIND_TO_TOKEN)),
+        }), max_size=6),
+    )
+    @example(
+        clicks=[{"sid": -3, "t": -0.0, "vid": "v1", "kind": "play"},
+                {"sid": 10**4299, "t": 2**53 + 1, "vid": "v1", "kind": "pause"}],
+        forums=[{"sid": -(10**4299), "t": 5e-324, "kind": "post"},
+                {"sid": 0, "t": -0.0, "kind": "viewthread"}],
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ingest_output_reads_back(self, clicks, forums):
+        raw_clicks, _ = ev.parse_clickstream_log(jsonl_stream(clicks))
+        raw_forums, _ = ev.parse_forum_log(jsonl_stream(forums))
+        encoded, _ = ev.encode_events(raw_clicks, raw_forums)
+        text = ev.events_to_jsonl(encoded)
+        back = ev.events_from_jsonl(text)
+        assert back == encoded and ev.events_to_jsonl(back) == text
+
+    @pytest.mark.parametrize("text, bad_line", [
+        pytest.param('{"sid":1,"t":2.5,"token":"PL"}\n', 1, id="compact"),
+        pytest.param('{"token": "PL", "t": 2.5, "sid": 1}\n', 1, id="reordered-keys"),
         pytest.param('{"sid": 1, "t": 2.5, "token": "PL"}\n\n'
-                     '{"sid": 2, "t": 3.0, "token": "Vf"}\n', id="blank-line"),
+                     '{"sid": 2, "t": 3.0, "token": "Vf"}\n', 2, id="blank-line"),
         pytest.param('{"sid": 1, "t": 2.5, "token": "PL"}\r\n'
-                     '{"sid": 2, "t": 3.0, "token": "Vf"}\r\n', id="crlf"),
+                     '{"sid": 2, "t": 3.0, "token": "Vf"}\r\n', 1, id="crlf"),
         pytest.param('{"sid": 1, "t": 2.5, "token": "PL"}\n'
-                     '{"sid": 2, "t": 3.0, "token": "Vf"}', id="no-final-newline"),
-        pytest.param('{"sid": 1, "t": 1e400, "token": "PL"}\n', id="t-1e400"),
-        pytest.param('{"sid": 1, "t": 1' + "0" * 400 + ', "token": "PL"}\n', id="t-401-digits"),
-        pytest.param('{"sid": 1' + "0" * 4999 + ', "t": 2.5, "token": "PL"}\n',
+                     '{"sid": 2, "t": 3.0, "token": "Vf"}', 2, id="no-final-newline"),
+        pytest.param('{"sid": 1, "t": 1e400, "token": "PL"}\n', 1, id="t-1e400"),
+        pytest.param('{"sid": 1, "t": 1' + "0" * 400 + ', "token": "PL"}\n', 1,
+                     id="t-401-digits"),
+        pytest.param('{"sid": 1' + "0" * 4999 + ', "t": 2.5, "token": "PL"}\n', 1,
                      id="sid-5000-digits"),
-        pytest.param('{"sid": 1, "t": 2.5, "token": "XX"}\n', id="unknown-token"),
-        pytest.param('{"sid": 1, "t": -2.5, "token": "PL"}\n', id="negative-t"),
-        pytest.param('x{"sid": 1, "t": 2.5, "token": "PL"}\n', id="junk-before"),
-        pytest.param('{"sid": 01, "t": 2.5, "token": "PL"}\n', id="leading-zero"),
-        pytest.param('{"sid": ١, "t": 2.5, "token": "PL"}\n', id="non-ascii-digit"),
+        pytest.param('{"sid": 1, "t": 2.5, "token": "XX"}\n', 1, id="unknown-token"),
+        pytest.param('{"sid": 1, "t": -2.5, "token": "PL"}\n', 1, id="negative-t"),
+        pytest.param('x{"sid": 1, "t": 2.5, "token": "PL"}\n', 1, id="junk-before"),
+        pytest.param('{"sid": 01, "t": 2.5, "token": "PL"}\n', 1, id="leading-zero"),
+        pytest.param('{"sid": ١, "t": 2.5, "token": "PL"}\n', 1, id="non-ascii-digit"),
+        pytest.param('{"sid": 1.7, "t": 2.5, "token": "PL"}\n', 1, id="float-sid"),
+        pytest.param('{"sid": true, "t": 2.5, "token": "PL"}\n', 1, id="bool-sid"),
+        pytest.param('{"sid": "12", "t": "-3", "token": "PL"}\n', 1, id="string-sid-and-t"),
     ])
-    def test_other_text_is_read_line_by_line(self, monkeypatch, text):
-        expected = read_outcome(ev._events_from_lines, text)
-        declined = []
-        line_by_line = ev._events_from_lines
-        monkeypatch.setattr(ev, "_events_from_lines",
-                            lambda t: declined.append(t) or line_by_line(t))
-        assert read_outcome(ev.events_from_jsonl, text) == expected
-        assert declined == [text]
+    def test_other_text_is_read_line_by_line(self, text, bad_line):
+        """Text not in ingest's format is searched line by line and refused,
+        naming its first bad line; a good line before it is not blamed."""
+        good = '{"sid": 1, "t": 0.0, "token": "PL"}\n'
+        with pytest.raises(ValueError, match=rf"^line {bad_line + 1}: "):
+            ev.events_from_jsonl(good + text)
