@@ -369,13 +369,13 @@ def events_to_jsonl(events: Iterable[Event]) -> str:
     )
 
 
-# Exactly one line as events_to_jsonl writes it: sid in JSON integer grammar,
-# t in JSON number grammar without a sign or the literal -0.0 (ingest admits a
-# raw t of -0.0 and writes it back as such), and a bare token name. [0-9], not
-# \d, which also matches non-ASCII digits.
+# Exactly one line as events_to_jsonl writes it: sid in JSON integer grammar but
+# for -0, t as repr writes a finite non-negative float or the literal -0.0 (ingest
+# admits a raw t of -0.0 and writes it back as such), and a bare token name.
+# [0-9], not \d, which also matches non-ASCII digits.
 _EVENT_LINE = re.compile(
-    r'^\{"sid": (-?(?:0|[1-9][0-9]*)), '
-    r'"t": ((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|-0\.0), '
+    r'^\{"sid": (0|-?[1-9][0-9]*), '
+    r'"t": ([0-9]+\.[0-9]+|[0-9](?:\.[0-9]+)?e[-+][0-9]{2,3}|-0\.0), '
     r'"token": "([A-Za-z]+)"\}\n',
     re.MULTILINE,
 )

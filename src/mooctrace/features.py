@@ -92,16 +92,14 @@ def active_passive_proportions(tokens) -> tuple[float, float, float, float]:
     tokens only; a source with no tokens yields (0, 0) for its pair (the
     nominal control variable carries the which-source-present signal).
     """
-    n_video = sum(1 for t in tokens if t in VIDEO_TOKENS)
-    n_forum = sum(1 for t in tokens if t in FORUM_TOKENS)
-    video_active = video_passive = forum_active = forum_passive = 0.0
-    if n_video:
-        video_active = sum(1 for t in tokens if t in ACTIVE_VIDEO) / n_video
-        video_passive = sum(1 for t in tokens if t in PASSIVE_VIDEO) / n_video
-    if n_forum:
-        forum_active = sum(1 for t in tokens if t in ACTIVE_FORUM) / n_forum
-        forum_passive = sum(1 for t in tokens if t in PASSIVE_FORUM) / n_forum
-    return video_active, video_passive, forum_active, forum_passive
+    counts = Counter(tokens)
+    n_video = sum(counts[t] for t in VIDEO_TOKENS)
+    n_forum = sum(counts[t] for t in FORUM_TOKENS)
+    return tuple(
+        sum(counts[t] for t in part) / n if n else 0.0
+        for part, n in ((ACTIVE_VIDEO, n_video), (PASSIVE_VIDEO, n_video),
+                        (ACTIVE_FORUM, n_forum), (PASSIVE_FORUM, n_forum))
+    )
 
 
 @dataclass(frozen=True)
@@ -320,33 +318,36 @@ def export_sparse(dataset: Dataset) -> str:
 def read_sparse(text: str, n_features: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse export_sparse output back into dense arrays.
 
-    Raises ValueError on a label other than 0 or 1, on an item that is not
-    `int:float` (the column ASCII digits, and no '_' or non-ASCII character
-    in the value), on a column index outside [0, n_features), on a value that
-    is not finite, on a column that does not ascend strictly within its row
-    (a repeat would silently overwrite a value), or on a row whose squared
-    norm overflows (the RBF kernel of such a row is NaN).
+    Rows end only at '\n' and items are split at single spaces. Raises
+    ValueError on a label other than 0 or 1 (a blank row's is ''), on an item
+    that is not `int:float` (an empty item, or one with a column that is not
+    ASCII digits or a '_', non-ASCII or non-printable character), on a column
+    index outside [0, n_features), on a value that is not finite, on a column
+    that does not ascend strictly within its row (a repeat would silently
+    overwrite a value), or on a row whose squared norm overflows (the RBF
+    kernel of such a row is NaN).
     """
     import numpy as np  # here, so that featurize, which only writes text, never loads it
 
-    rows = [line for line in text.splitlines() if line.strip()]
+    rows = text.removesuffix("\n").split("\n") if text else []
     X = np.zeros((len(rows), n_features))
     y = np.zeros(len(rows), dtype=int)
     for r, line in enumerate(rows):
-        parts = line.split()
+        parts = line.split(" ")
         if parts[0] not in ("0", "1"):
             raise ValueError(f"row {r + 1}: label {parts[0]!r} is not 0 or 1")
         y[r] = int(parts[0])
-        # int() and float() also read '_' separators and non-ASCII digits, and
+        # int() and float() also read '_', non-ASCII digits and whitespace, and
         # int() a '+' sign; the items of a line with any of them are checked.
-        plain = line.isascii() and "_" not in line and "+" not in line
+        plain = line.isascii() and line.isprintable() and "_" not in line and "+" not in line
         prev = -1
         for item in parts[1:]:
             col, _, value = item.partition(":")
             try:
                 c, x = int(col), float(value)
                 if not plain and (  # a negative column fails below, as outside
-                    not item.isascii() or "_" in item or c >= 0 and not col.isdigit()
+                    not (item.isascii() and item.isprintable()) or "_" in item
+                    or c >= 0 and not col.isdigit()
                 ):
                     raise ValueError
             except ValueError:

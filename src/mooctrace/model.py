@@ -16,8 +16,9 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -351,7 +352,7 @@ def _entropy_bits(counts: dict) -> float:
     return h
 
 
-def _conditional_entropy(column: Sequence[Hashable], labels: Sequence[int]) -> float:
+def _conditional_entropy(column: Iterable[Hashable], labels: Sequence[int]) -> float:
     groups: dict[Hashable, dict[int, int]] = {}
     for value, lbl in zip(column, labels):
         bucket = groups.setdefault(value, {})
@@ -371,33 +372,30 @@ def interaction_gain(
     [Gain(AxB) - Gain(A) - Gain(B)] / H(class), entropies in bits. Positive
     values mean synergy, negative redundancy; 0 when the class is constant.
     """
-    if not (len(feat_a) == len(feat_b) == len(labels)):
-        raise ValueError("columns and labels differ in length")
-    if not labels:
-        raise ValueError("cannot compute gain on empty inputs")
-    class_counts: dict[int, int] = {}
-    for lbl in labels:
-        class_counts[lbl] = class_counts.get(lbl, 0) + 1
-    h_class = _entropy_bits(class_counts)
-    if h_class == 0.0:
-        return 0.0
-    gain_a = h_class - _conditional_entropy(feat_a, labels)
-    gain_b = h_class - _conditional_entropy(feat_b, labels)
-    joint = list(zip(feat_a, feat_b))
-    gain_ab = h_class - _conditional_entropy(joint, labels)
-    return (gain_ab - gain_a - gain_b) / h_class
+    ((_, _, gain),) = interaction_gain_ranking({"a": feat_a, "b": feat_b}, labels)
+    return gain
 
 
 def interaction_gain_ranking(
     columns: dict[str, Sequence[Hashable]], labels: Sequence[int]
 ) -> list[tuple[str, str, float]]:
-    """All feature pairs ranked by interaction gain, descending."""
+    """interaction_gain of every pair of columns, ranked descending.
+
+    H(class) and each column's gain are computed once; only the joint
+    entropy is computed per pair.
+    """
+    if any(len(column) != len(labels) for column in columns.values()):
+        raise ValueError("columns and labels differ in length")
+    if not labels:
+        raise ValueError("cannot compute gain on empty inputs")
+    h_class = _entropy_bits(Counter(labels))
     names = sorted(columns)
-    ranked = [
-        (a, b, interaction_gain(columns[a], columns[b], labels))
-        for idx, a in enumerate(names)
-        for b in names[idx + 1 :]
-    ]
+    gain = {name: h_class - _conditional_entropy(columns[name], labels) for name in names}
+    ranked = []
+    for idx, a in enumerate(names):
+        for b in names[idx + 1 :]:
+            gain_ab = h_class - _conditional_entropy(zip(columns[a], columns[b]), labels)
+            ranked.append((a, b, (gain_ab - gain[a] - gain[b]) / h_class if h_class else 0.0))
     ranked.sort(key=lambda row: (-row[2], row[0], row[1]))
     return ranked
 

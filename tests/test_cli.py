@@ -190,6 +190,15 @@ class TestFeaturizeCommand:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err.startswith(f"{events} line 3: ") and line in err, defect
 
+    def test_crlf_events_exit_2(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(b'{"sid": 1, "t": 0.0, "token": "PL"}\r\n'
+                           b'{"sid": 1, "t": 5.0, "token": "Vf"}\r\n')
+        code = run("featurize", "--events", events, "--out-dir", tmp_path / "o")
+        assert code == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err.startswith(f"{events} line 1: not a line as ingest writes it")
+
     def test_ingest_output_takes_fast_path(self, events_dir):
         text = (events_dir / "events.jsonl").read_text()
         read = ev.events_from_jsonl(text)
@@ -312,6 +321,12 @@ class TestTrainEvalCommands:
             ("\u0661\u0662:2.5", "item '\u0661\u0662:2.5' is not int:float"),
             ("3:1_0.5", "item '3:1_0.5' is not int:float"),
             ("+3:1.0", "item '+3:1.0' is not int:float"),
+            # Items are separated by single spaces and rows end only at '\n'.
+            (" 2:1.0", "item '' is not int:float"),
+            ("2:\t1.0", "item '2:\\t1.0' is not int:float"),
+            ("2:1.0\x0c", "item '2:1.0\\x0c' is not int:float"),
+            ("2:1.0\u2028", "item '2:1.0\\u2028' is not int:float"),
+            ("2:1.0\r", "item '2:1.0\\r' is not int:float"),
             ("2:nan", "column 2 value 'nan' is not finite"),
             ("2:inf", "column 2 value 'inf' is not finite"),
             ("2:1e200", "squared norm is not finite"),
@@ -559,6 +574,13 @@ class TestReportCommand:
                    "--out-dir", tmp_path / "r", "--student", 999999, "--week", 1)
         assert code == cli.EXIT_UNKNOWN_INSTANCE
 
+    def test_empty_events_exit_3(self, tmp_path):
+        empty = tmp_path / "events.jsonl"
+        empty.write_text("")
+        code = run("report", "--events", empty, "--out-dir", tmp_path / "r")
+        assert code == cli.EXIT_EMPTY_EVENTS
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("flag", ["--student", "--week"])
     def test_student_and_week_go_together(self, tmp_path, capsys, flag):
         # Checked before events.jsonl is read: it does not exist.
@@ -594,6 +616,28 @@ class TestReportCommand:
             total = sum(int(r.split(",")[1]) + int(r.split(",")[2]) for r in rows)
             assert total == n_instances
         assert len(list((out / "dot").glob("*.dot"))) == n_instances
+
+    @pytest.mark.parametrize("setup", ["curr", "tcurr"])
+    def test_selected_instance_matches_full_report(self, tmp_path, events_dir, setup):
+        # One instance's DOT file and metrics row are those of the full
+        # report, and the analyses still cover every instance.
+        events = events_dir / "events.jsonl"
+        full, one = tmp_path / "full", tmp_path / "one"
+        assert run("report", "--events", events, "--out-dir", full, "--setup", setup) == 0
+        header, *rows = (full / "graph_metrics.csv").read_text().splitlines()
+        row = rows[len(rows) // 2]
+        sid, week = row.split(",")[:2]
+        assert run("report", "--events", events, "--out-dir", one, "--setup", setup,
+                   "--student", sid, "--week", week) == 0
+        assert (one / "graph_metrics.csv").read_text() == f"{header}\n{row}\n"
+        dot = f"s{sid}_w{week}.dot"
+        assert [p.name for p in (one / "dot").iterdir()] == [dot]
+        assert (one / "dot" / dot).read_bytes() == (full / "dot" / dot).read_bytes()
+        analyses = sorted(p.name for p in full.glob("*.csv") if p.name != "graph_metrics.csv")
+        assert len(analyses) == 12
+        assert sorted(p.name for p in one.glob("*.csv")) == sorted(analyses + ["graph_metrics.csv"])
+        for name in analyses:
+            assert (one / name).read_bytes() == (full / name).read_bytes(), name
 
 
 def _probe(code: str, *args: str) -> str:

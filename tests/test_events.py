@@ -420,6 +420,11 @@ class TestEventsFromJsonl:
         pytest.param('{"sid": 1.7, "t": 2.5, "token": "PL"}\n', 1, id="float-sid"),
         pytest.param('{"sid": true, "t": 2.5, "token": "PL"}\n', 1, id="bool-sid"),
         pytest.param('{"sid": "12", "t": "-3", "token": "PL"}\n', 1, id="string-sid-and-t"),
+        pytest.param('{"sid": -0, "t": 2.5, "token": "PL"}\n', 1, id="minus-zero-sid"),
+        pytest.param('{"sid": 1, "t": 7, "token": "PL"}\n', 1, id="int-t"),
+        pytest.param('{"sid": 1, "t": 1E5, "token": "PL"}\n', 1, id="t-1E5"),
+        pytest.param('{"sid": 1, "t": 1e5, "token": "PL"}\n', 1, id="t-1e5"),
+        pytest.param('{"sid": 1, "t": 1E+16, "token": "PL"}\n', 1, id="t-1E+16"),
     ])
     def test_other_text_is_read_line_by_line(self, text, bad_line):
         """Text not in ingest's format is searched line by line and refused,

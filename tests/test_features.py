@@ -377,10 +377,25 @@ class TestMatrixRoundTrip:
     @pytest.mark.parametrize("item", ["5:1.0", "-1:5.0", "x:1.0", "1:abc", "3", "1.5:2.0",
                                       "2:nan", "2:inf", "2:-inf", "2:1e400", "2:1e200",
                                       "0:2.0", "3:1.0 2:1.0", "1_0:1.0", "\u0661\u0662:2.5",
-                                      "3:1_0.5", "+3:1.0"])
+                                      "3:1_0.5", "+3:1.0", " 2:1.0", "2:1.0 ", "2:\t1.0",
+                                      "2:1.0\r", "2:1.0\x0c", "2:1.0\u2028", "2:1.0\n"])
     def test_read_sparse_rejects_bad_items(self, item):
         with pytest.raises(ValueError):
             ft.read_sparse(f"1 0:1.0 {item}\n", 5)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 0:1.0\x0c0 1:2.0\n", "row 1: item '0:1.0\\x0c0' is not int:float"),
+        ("1 0:1.0\u20280 1:2.0\n", "row 1: item '0:1.0\\u20280' is not int:float"),
+        ("1 0:1.0\n\n0 1:2.0\n", "row 2: label '' is not 0 or 1"),
+        ("1 0:1.0\n0 1:2.0\r\n", "row 2: item '1:2.0\\r' is not int:float"),
+        ("1 0:1.0\n0\t1:2.0\n", "row 2: label '0\\t1:2.0' is not 0 or 1"),
+        ("1 0:1.0  1:2.0\n", "row 1: item '' is not int:float"),
+        ("1 0:1.0 \n", "row 1: item '' is not int:float"),
+    ])
+    def test_read_sparse_splits_only_at_newline_and_space(self, text, message):
+        with pytest.raises(ValueError) as info:
+            ft.read_sparse(text, 5)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("label", ["5", "-1", "1.0", "nan"])
     def test_read_sparse_rejects_bad_labels(self, label):

@@ -330,6 +330,26 @@ class TestInteractionGain:
         assert gains == sorted(gains, reverse=True)
         assert ranking[0][:2] == ("a", "b")
 
+    def test_ranking_equals_pairwise_gain_exactly(self):
+        rng = np.random.default_rng(12)
+        n = 300
+        labels = [int(x) for x in rng.integers(0, 2, n)]
+        columns = {f"c{k}": [int(x) for x in rng.integers(0, k + 1, n)] for k in range(6)}
+        columns["leak"] = list(labels)
+        ranking = m.interaction_gain_ranking(columns, labels)
+        assert len(ranking) == 7 * 6 // 2
+        for a, b, gain in ranking:
+            assert gain == m.interaction_gain(columns[a], columns[b], labels), (a, b)
+
+    def test_ranking_computes_each_column_entropy_once(self, monkeypatch):
+        calls = []
+        entropy = m._conditional_entropy
+        monkeypatch.setattr(m, "_conditional_entropy",
+                            lambda column, labels: calls.append(1) or entropy(column, labels))
+        columns = {name: [0, 1, 1, 0, 1] for name in "abcdefghijk"}
+        assert len(m.interaction_gain_ranking(columns, [0, 1, 0, 0, 1])) == 55
+        assert len(calls) == 11 + 55  # one per column, one joint per pair
+
 
 class TestContingency:
     def test_single_category(self):
