@@ -1,14 +1,17 @@
 """Directed activity multigraphs and their structural metrics.
 
 Consecutive token pairs of a footprint sequence become weight-1 directed
-edges, keeping self-loops and parallel edges. Metrics read activity
-persistence and organization out of the structure: density (can exceed 1),
-self-loop count, strongly connected components, indegree-central
-activities, and the transition with maximal edge betweenness.
+edges, keeping self-loops and parallel edges. ``build_graph`` walks the
+pairs once and keeps their tally: each distinct (from, to) pair with its
+multiplicity. ``compute_metrics`` reads every metric off that tally:
+density (can exceed 1), self-loop count, strongly connected components,
+indegree-central activities, and the transition with maximal edge
+betweenness. ``export_dot`` renders the graph and ``metrics_csv_row`` one
+row of its metrics.
 
 Tokens are ints (see ``events``), so each token indexes the per-node
-lists directly: successor lists, Tarjan's index/lowlink/on-stack state and
-Brandes' distances, path counts and dependencies.
+lists directly: indegrees, successor lists, Tarjan's index/lowlink/on-stack
+state and Brandes' distances, path counts and dependencies.
 
 Edge betweenness is exact without rational arithmetic: Brandes'
 accumulation keeps every edge's score as an integer numerator over one
@@ -29,10 +32,20 @@ EdgePair = tuple[ActivityToken, ActivityToken]
 
 @dataclass(frozen=True)
 class ActivityGraph:
-    """Directed multigraph over activity tokens; edges kept in sequence order."""
+    """Directed multigraph over the activity tokens of one sequence.
 
+    multiplicity maps each distinct (from, to) pair, in token order, to the
+    number of times the sequence makes that transition.
+    """
+
+    tokens: tuple[ActivityToken, ...]
     nodes: frozenset[ActivityToken]
-    edges: tuple[EdgePair, ...]
+    multiplicity: dict[EdgePair, int]
+
+    @property
+    def edges(self) -> tuple[EdgePair, ...]:
+        """Every edge in sequence order, parallel edges repeated."""
+        return tuple(zip(self.tokens, self.tokens[1:]))
 
     @property
     def num_nodes(self) -> int:
@@ -40,60 +53,54 @@ class ActivityGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return max(len(self.tokens) - 1, 0)
 
 
 @dataclass(frozen=True)
 class GraphMetrics:
     num_nodes: int
     num_edges: int
+    # m / n(n-1), exceeding 1 when self-loops and parallel edges are plentiful;
+    # 0.0 below two nodes, where the self-loop count carries persistence.
     density: float
-    num_self_loops: int
-    num_scc: int
+    num_self_loops: int  # counted with multiplicity
+    num_scc: int  # 0 for the empty graph
+    # The three activities with the highest indegree (with multiplicity,
+    # self-loops included) over n-1, ties broken by token order.
     top_indegree: tuple[tuple[ActivityToken, float], ...]
+    # The non-loop edge with maximal betweenness and its exact value rounded
+    # once, exact ties broken by (from, to) token order; None without one.
     central_transition: tuple[EdgePair, float] | None
 
 
 def build_graph(tokens) -> ActivityGraph:
     """Build the activity graph from a footprint token sequence."""
     tokens = tuple(tokens)
-    edges = tuple(zip(tokens, tokens[1:]))
-    return ActivityGraph(frozenset(tokens), edges)
+    tally = Counter(zip(tokens, tokens[1:]))
+    return ActivityGraph(tokens, frozenset(tokens), dict(sorted(tally.items())))
 
 
-def density(g: ActivityGraph) -> float:
-    """m / n(n-1); exceeds 1 when self-loops/parallel edges are plentiful.
+def _read_tally(g: ActivityGraph) -> tuple[int, list[int], list[list[ActivityToken]]]:
+    """Self-loop count, indegree per token and successors per token.
 
-    Defined as 0.0 for graphs with fewer than two nodes, where a density
-    reading is uninformative (self-loop count carries persistence there).
-    """
-    n = g.num_nodes
-    if n <= 1:
-        return 0.0
-    return g.num_edges / (n * (n - 1))
-
-
-def count_self_loops(g: ActivityGraph) -> int:
-    """Number of edges from a node to itself, counted with multiplicity."""
-    return sum(1 for u, v in g.edges if u == v)
-
-
-def _successors(g: ActivityGraph) -> list[list[ActivityToken]]:
-    """Successors per token in the collapsed simple digraph, in token order.
-
-    Parallel edges collapse to one and self-loops are dropped: neither
+    Successors are those of the collapsed simple digraph, in token order:
+    parallel edges collapse to one and self-loops are dropped, as neither
     changes strong connectivity or shortest paths.
     """
+    self_loops = 0
+    indegree = [0] * len(ActivityToken)
     succ: list[list[ActivityToken]] = [[] for _ in ActivityToken]
-    for u, v in sorted(set(g.edges)):
-        if u != v:
+    for (u, v), count in g.multiplicity.items():
+        indegree[v] += count
+        if u == v:
+            self_loops += count
+        else:
             succ[u].append(v)
-    return succ
+    return self_loops, indegree, succ
 
 
-def count_scc(g: ActivityGraph) -> int:
-    """Number of strongly connected components (Tarjan); 0 for the empty graph."""
-    succ = _successors(g)
+def _count_scc(nodes: list[ActivityToken], succ: list[list[ActivityToken]]) -> int:
+    """Number of strongly connected components (Tarjan)."""
     index = [-1] * len(succ)
     lowlink = [0] * len(succ)
     on_stack = [False] * len(succ)
@@ -122,35 +129,21 @@ def count_scc(g: ActivityGraph) -> int:
                     break
 
     # Node count is bounded by the 15-token alphabet, so recursion is shallow.
-    for v in sorted(g.nodes):
+    for v in nodes:
         if index[v] < 0:
             strongconnect(v)
     return n_scc
 
 
-def indegree_centrality(g: ActivityGraph) -> dict[ActivityToken, float]:
-    """Indegree (with multiplicity, self-loops included) over n-1."""
-    n = g.num_nodes
-    if n <= 1:
-        return {v: 0.0 for v in g.nodes}
-    indeg = [0] * len(ActivityToken)
-    for _, v in g.edges:
-        indeg[v] += 1
-    return {v: indeg[v] / (n - 1) for v in g.nodes}
-
-
-def top_indegree(g: ActivityGraph) -> list[tuple[ActivityToken, float]]:
-    """The three most indegree-central activities, ties broken by token order."""
-    centrality = indegree_centrality(g)
-    return sorted(centrality.items(), key=lambda item: (-item[1], item[0]))[:3]
-
-
-def _betweenness_numerators(g: ActivityGraph) -> tuple[dict[EdgePair, int], int]:
+def _betweenness_numerators(
+    nodes: list[ActivityToken], succ: list[list[ActivityToken]]
+) -> tuple[dict[EdgePair, int], int]:
     """Edge betweenness as integer numerators over one common denominator.
 
-    Returns (numerators, denominator): numerators keyed by (from, to) in
-    token order for every edge of the collapsed simple digraph, and the
-    edge (u, v) has betweenness numerators[u, v] / denominator.
+    Takes the sorted nodes and the simple-digraph successors (see
+    _read_tally). Returns (numerators, denominator): numerators keyed by
+    (from, to) in token order for every edge of the collapsed simple
+    digraph, and the edge (u, v) has betweenness numerators[u, v] / denominator.
 
     Self-loops are excluded and parallel edges collapse to one: shortest
     paths never traverse a loop and multiplicity does not change path
@@ -167,8 +160,6 @@ def _betweenness_numerators(g: ActivityGraph) -> tuple[dict[EdgePair, int], int]
     loop keeps D * delta_w as an integer, and each edge contribution
     sigma_v * (D + D * delta_w) // sigma_w is an exact division.
     """
-    nodes = sorted(g.nodes)
-    succ = _successors(g)
     searches = []
     for source in nodes:
         # BFS from source: distances, path counts, shortest-path predecessors.
@@ -203,56 +194,51 @@ def _betweenness_numerators(g: ActivityGraph) -> tuple[dict[EdgePair, int], int]
     return numerators, denominator * n * (n - 1)
 
 
-def central_transition(g: ActivityGraph) -> tuple[EdgePair, float] | None:
-    """The non-loop edge with maximal betweenness, or None without one.
-
-    Exact ties break by (from, to) token order. The value is the exact
-    betweenness rounded once to the nearest float.
-    """
-    numerators, denominator = _betweenness_numerators(g)
-    if not numerators:
-        return None
-    (u, v), num = max(
-        numerators.items(), key=lambda item: (item[1], -item[0][0], -item[0][1])
-    )
-    return (u, v), num / denominator  # int / int rounds correctly
-
-
 def compute_metrics(g: ActivityGraph) -> GraphMetrics:
-    """All structural metrics of one activity graph."""
+    """All structural metrics of one activity graph (see GraphMetrics)."""
+    n = g.num_nodes
+    nodes = sorted(g.nodes)
+    self_loops, indegree, succ = _read_tally(g)
+    centrality = [(v, indegree[v] / (n - 1) if n > 1 else 0.0) for v in nodes]
+    numerators, denominator = _betweenness_numerators(nodes, succ)
+    central = None
+    if numerators:
+        edge, num = max(
+            numerators.items(), key=lambda item: (item[1], -item[0][0], -item[0][1])
+        )
+        central = edge, num / denominator  # int / int rounds correctly
     return GraphMetrics(
-        num_nodes=g.num_nodes,
+        num_nodes=n,
         num_edges=g.num_edges,
-        density=density(g),
-        num_self_loops=count_self_loops(g),
-        num_scc=count_scc(g),
-        top_indegree=tuple(top_indegree(g)),
-        central_transition=central_transition(g),
+        density=g.num_edges / (n * (n - 1)) if n > 1 else 0.0,
+        num_self_loops=self_loops,
+        num_scc=_count_scc(nodes, succ),
+        top_indegree=tuple(sorted(centrality, key=lambda item: (-item[1], item[0]))[:3]),
+        central_transition=central,
     )
 
 
-def export_dot(g: ActivityGraph, tokens) -> str:
+def export_dot(g: ActivityGraph) -> str:
     """Graphviz DOT text with Be/En sentinel nodes around the token sequence.
 
     Nodes are sized by indegree centrality and edges widened by parallel
     multiplicity. Sentinels are rendering-only: metrics never see them.
     """
-    centrality = indegree_centrality(g)
-    multiplicity = Counter(g.edges)
-
+    _, indegree, _ = _read_tally(g)
+    n = g.num_nodes
     lines = ["digraph activity {", "  rankdir=LR;"]
     lines.append('  "Be" [shape=doublecircle, width=0.30];')
     lines.append('  "En" [shape=doublecircle, width=0.30];')
     for v in sorted(g.nodes):
-        width = 0.40 + 0.30 * centrality[v]
+        width = 0.40 + 0.30 * (indegree[v] / (n - 1) if n > 1 else 0.0)
         lines.append(f'  "{v.name}" [shape=circle, width={width:.2f}];')
-    if tokens:
-        lines.append(f'  "Be" -> "{tokens[0].name}";')
-    for (u, v), count in sorted(multiplicity.items()):
+    if g.tokens:
+        lines.append(f'  "Be" -> "{g.tokens[0].name}";')
+    for (u, v), count in g.multiplicity.items():
         attrs = f' [penwidth={float(count):.1f}, label="{count}"]' if count > 1 else ""
         lines.append(f'  "{u.name}" -> "{v.name}"{attrs};')
-    if tokens:
-        lines.append(f'  "{tokens[-1].name}" -> "En";')
+    if g.tokens:
+        lines.append(f'  "{g.tokens[-1].name}" -> "En";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -443,7 +443,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         metrics = actgraph.compute_metrics(graph)
         if selected in (None, key):
             sid, week = key
-            dots.append((f"s{sid}_w{week}.dot", actgraph.export_dot(graph, tokens)))
+            dots.append((f"s{sid}_w{week}.dot", actgraph.export_dot(graph)))
             metric_rows.append(actgraph.metrics_csv_row(sid, week, cfg.setup.value, metrics))
         analysis_rows.append(_analysis_values(tokens, metrics))
     for name, dot in dots:

@@ -47,8 +47,7 @@ class TrainedModel:
     sv_labels: np.ndarray         # in {-1, +1}
     alphas: np.ndarray
     bias: float
-    gamma: float
-    params: SvmParams
+    params: SvmParams             # resolved: gamma and class_cost set
     converged: bool
     n_iterations: int
     kkt_gap: float = 0.0          # final max violation m(alpha) - M(alpha)
@@ -235,7 +234,6 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
         sv_labels=y[sv].copy(),
         alphas=alpha[sv].copy(),
         bias=bias,
-        gamma=gamma,
         params=resolved,
         converged=converged,
         n_iterations=iterations,
@@ -259,7 +257,7 @@ def decision_function(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     values = np.empty(len(X))
     for start in range(0, len(X), _ROW_BLOCK):
         rows = X[start : start + _ROW_BLOCK]
-        kernel = _rbf_block(rows, _sq_norms(rows), sv, sv_sq, model.gamma)
+        kernel = _rbf_block(rows, _sq_norms(rows), sv, sv_sq, model.params.gamma)
         values[start : start + len(rows)] = kernel @ coef
     return values + model.bias
 
@@ -427,7 +425,7 @@ def dump_model(model: TrainedModel) -> str:
         "version": MODEL_FORMAT_VERSION,
         "params": {
             "C": model.params.C,
-            "gamma": model.gamma,
+            "gamma": model.params.gamma,
             "class_cost": {str(k): v for k, v in (model.params.class_cost or {}).items()},
             "tolerance": model.params.tolerance,
             "max_iter": model.params.max_iter,
@@ -507,8 +505,12 @@ def _support_vectors(obj: dict, n_sv: int) -> np.ndarray:
         raise ValueError("model key 'sv_indptr' is not nondecreasing from 0 to len(sv_indices)")
     if np.any((indices < 0) | (indices >= n_features)):
         raise ValueError("model key 'sv_indices' has a column outside [0, n_features)")
+    rows = np.repeat(np.arange(n_sv), np.diff(indptr))
+    # A repeated column would overwrite its earlier value; dump_model ascends.
+    if np.any((np.diff(rows) == 0) & (np.diff(indices) <= 0)):
+        raise ValueError("model key 'sv_indices' does not ascend within a support vector")
     sv = np.zeros((n_sv, n_features))
-    sv[np.repeat(np.arange(n_sv), np.diff(indptr)), indices] = values
+    sv[rows, indices] = values
     if not np.isfinite(_sq_norms(sv)).all():
         raise ValueError("model key 'sv_values' gives a support vector a non-finite norm")
     return sv
@@ -547,6 +549,10 @@ def load_model(text: str, feature_names: tuple[str, ...] | None = None) -> Train
     sv_labels = _array(obj, "sv_labels", float)
     if len(sv_labels) != len(alphas):
         raise ValueError("model keys 'sv_labels' and 'alphas' differ in length")
+    if not np.all(np.abs(sv_labels) == 1):
+        raise ValueError("model key 'sv_labels' has an entry other than -1 and 1")
+    if not np.all(alphas > 0):
+        raise ValueError("model key 'alphas' has an entry that is not positive")
     params = SvmParams(
         C=p["C"],
         gamma=p["gamma"],
@@ -560,7 +566,6 @@ def load_model(text: str, feature_names: tuple[str, ...] | None = None) -> Train
         sv_labels=sv_labels,
         alphas=alphas,
         bias=obj["bias"],
-        gamma=p["gamma"],
         params=params,
         converged=obj["converged"],
         n_iterations=obj["n_iterations"],

@@ -122,7 +122,7 @@ def svm_dual_objective(model) -> float:
     """
     sv = model.support_vectors
     kernel_sums = rbf_decision_bruteforce(sv, model.alphas, model.sv_labels, 0.0,
-                                          model.gamma, sv)
+                                          model.params.gamma, sv)
     return float(model.alphas.sum() - 0.5 * (model.alphas * model.sv_labels) @ kernel_sums)
 
 

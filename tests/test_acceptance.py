@@ -4,6 +4,7 @@ Each test prints one [PASS]/[FAIL] line (visible with pytest -s). The two
 long-running criteria also enforce their wall-clock budgets.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -51,13 +52,15 @@ def test_criterion_1_graph_oracles():
         for _ in range(1000):
             tokens = [rng.choice(alphabet) for _ in range(rng.randint(0, 12))]
             g = actgraph.build_graph(tokens)
-            assert actgraph.count_scc(g) == scc_count_bruteforce(g.nodes, g.edges)
+            metrics = actgraph.compute_metrics(g)
+            assert metrics.num_scc == scc_count_bruteforce(g.nodes, g.edges)
 
-            numerators, denominator = actgraph._betweenness_numerators(g)
+            _, _, succ = actgraph._read_tally(g)
+            numerators, denominator = actgraph._betweenness_numerators(sorted(g.nodes), succ)
             mine = {edge: Fraction(num, denominator) for edge, num in numerators.items()}
             oracle = edge_betweenness_bruteforce(g.nodes, g.edges)
             assert mine == oracle  # exact rational equality
-            picked = actgraph.central_transition(g)
+            picked = metrics.central_transition
             if oracle:
                 best = max(
                     oracle.items(),
@@ -70,7 +73,7 @@ def test_criterion_1_graph_oracles():
 
             n, m_edges = g.num_nodes, g.num_edges
             if n >= 2:
-                assert actgraph.density(g) * (n * (n - 1)) == m_edges
+                assert metrics.density * (n * (n - 1)) == m_edges
         elapsed = time.monotonic() - started
         assert checked_transitions > 500
         assert elapsed < 60, f"oracle suite took {elapsed:.1f}s"
@@ -82,9 +85,10 @@ def test_criterion_2_worked_multigraph_example():
         g = actgraph.build_graph(tokens)
         assert g.nodes == frozenset({T.Vt, T.Po})
         assert g.edges == ((T.Vt, T.Po), (T.Po, T.Vt), (T.Vt, T.Po), (T.Po, T.Po))
-        assert actgraph.density(g) == 2.0
-        assert actgraph.count_self_loops(g) == 1
-        assert actgraph.count_scc(g) == 1
+        metrics = actgraph.compute_metrics(g)
+        assert metrics.density == 2.0
+        assert metrics.num_self_loops == 1
+        assert metrics.num_scc == 1
 
 
 def test_criterion_3_footprint_example():
@@ -235,6 +239,8 @@ steps = [
      "--seed", "11"],
     ["eval", "--model-file", base + "/model.json", "--test", base + "/feat/test.txt",
      "--features", base + "/feat/features.json", "--out", base + "/report.json"],
+    ["report", "--events", base + "/ing/events.jsonl", "--out-dir", base + "/report",
+     "--setup", "tcurr"],
 ]
 for step in steps:
     code = main(step)
@@ -254,6 +260,16 @@ _COMPARED_FILES = (
 )
 
 
+# The snippet's report bytes, recorded before the activity graph kept an
+# edge tally: a change to graph metrics or DOT rendering must show here.
+_METRICS_SHA256 = "f53b669b7d45aacb70957eadd386ed52e865a226505c20ea37110f32504b2efc"
+_DOTS_SHA256 = "507adf78c123fd9ef4f30273c9f1147945572f42c2725c6c9065fdbf16343a67"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def test_criterion_8_pipeline_determinism(tmp_path):
     with criterion(8, "two pipeline runs are byte-identical (fresh processes)"):
         src = Path(ft.__file__).resolve().parents[1]
@@ -268,7 +284,19 @@ def test_criterion_8_pipeline_determinism(tmp_path):
                 text=True,
             )
             assert result.returncode == 0, result.stderr
-        for name in _COMPARED_FILES:
+        report = tmp_path / "a" / "report"
+        csvs = ["graph_metrics.csv", "interaction_gain.csv"]
+        csvs += sorted(p.name for p in report.glob("contingency_*.csv"))
+        dots = sorted(p.name for p in (report / "dot").iterdir())
+        assert len(csvs) == 13 and dots
+        compared = [*_COMPARED_FILES, *(f"report/{name}" for name in csvs),
+                    *(f"report/dot/{name}" for name in dots)]
+        for name in compared:
             bytes_a = (tmp_path / "a" / name).read_bytes()
             bytes_b = (tmp_path / "b" / name).read_bytes()
             assert bytes_a == bytes_b, f"{name} differs between runs"
+        assert sorted(p.name for p in (tmp_path / "b" / "report" / "dot").iterdir()) == dots
+        # Pinned report bytes: graph metrics and every DOT file in name order.
+        joined_dots = b"".join((report / "dot" / name).read_bytes() for name in dots)
+        assert _sha256((report / "graph_metrics.csv").read_bytes()) == _METRICS_SHA256
+        assert _sha256(joined_dots) == _DOTS_SHA256

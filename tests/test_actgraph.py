@@ -14,15 +14,25 @@ def seq(*names):
     return [T[n] for n in names]
 
 
+def metrics(tokens):
+    return actgraph.compute_metrics(actgraph.build_graph(tokens))
+
+
 class TestBuildGraph:
     def test_worked_example(self):
         g = actgraph.build_graph(WORKED)
+        assert g.tokens == tuple(WORKED)
         assert g.nodes == frozenset({T.Vt, T.Po})
         assert g.edges == ((T.Vt, T.Po), (T.Po, T.Vt), (T.Vt, T.Po), (T.Po, T.Po))
+        # Distinct pairs in token order (Po < Vt), each with its count.
+        assert list(g.multiplicity.items()) == [
+            ((T.Po, T.Po), 1), ((T.Po, T.Vt), 1), ((T.Vt, T.Po), 2)
+        ]
 
     def test_single_token(self):
         g = actgraph.build_graph([T.PL])
         assert g.num_nodes == 1 and g.num_edges == 0
+        assert g.edges == () and g.multiplicity == {}
 
     def test_empty(self):
         g = actgraph.build_graph([])
@@ -32,19 +42,19 @@ class TestBuildGraph:
         g = actgraph.build_graph(seq("PL", "PL", "PL"))
         assert g.num_nodes == 1
         assert g.edges == ((T.PL, T.PL), (T.PL, T.PL))
+        assert g.multiplicity == {(T.PL, T.PL): 2}
 
 
 class TestDensity:
     def test_worked_example_exceeds_one(self):
-        assert actgraph.density(actgraph.build_graph(WORKED)) == 2.0
+        assert metrics(WORKED).density == 2.0
 
     def test_single_node_convention(self):
-        assert actgraph.density(actgraph.build_graph([T.PL])) == 0.0
-        assert actgraph.density(actgraph.build_graph(seq("PL", "PL"))) == 0.0
+        assert metrics([T.PL]).density == 0.0
+        assert metrics(seq("PL", "PL")).density == 0.0
 
     def test_three_cycle(self):
-        g = actgraph.build_graph(seq("PL", "PA", "FW", "PL"))
-        assert actgraph.density(g) == 0.5
+        assert metrics(seq("PL", "PA", "FW", "PL")).density == 0.5
 
 
 class TestSelfLoops:
@@ -57,79 +67,74 @@ class TestSelfLoops:
         ],
     )
     def test_counts(self, tokens, expected):
-        assert actgraph.count_self_loops(actgraph.build_graph(tokens)) == expected
+        assert metrics(tokens).num_self_loops == expected
 
 
 class TestScc:
     def test_mutual_pair(self):
-        assert actgraph.count_scc(actgraph.build_graph(WORKED)) == 1
+        assert metrics(WORKED).num_scc == 1
 
     def test_chain(self):
-        assert actgraph.count_scc(actgraph.build_graph(seq("PL", "PA"))) == 2
+        assert metrics(seq("PL", "PA")).num_scc == 2
 
     def test_single_node(self):
-        assert actgraph.count_scc(actgraph.build_graph([T.PL])) == 1
+        assert metrics([T.PL]).num_scc == 1
 
     def test_empty_graph(self):
-        assert actgraph.count_scc(actgraph.build_graph([])) == 0
+        assert metrics([]).num_scc == 0
+
+
+# FW->PA, PA->PL, PL->PA, PA->BW over four nodes: PA has indegree 2 of n-1 = 3,
+# PL and BW 1 each, FW none.
+STAR = seq("FW", "PA", "PL", "PA", "BW")
 
 
 class TestTopIndegree:
     def test_worked_example_multiplicity(self):
-        top = actgraph.top_indegree(actgraph.build_graph(WORKED))
-        assert top == [(T.Po, 3.0), (T.Vt, 1.0)]
+        assert metrics(WORKED).top_indegree == ((T.Po, 3.0), (T.Vt, 1.0))
 
     def test_single_node_zero(self):
-        assert actgraph.top_indegree(actgraph.build_graph([T.PL])) == [(T.PL, 0.0)]
+        assert metrics([T.PL]).top_indegree == ((T.PL, 0.0),)
 
     def test_star(self):
-        # A->B, C->B, B->D over four nodes: B leads with 2/3.
-        g = actgraph.ActivityGraph(
-            frozenset({T.PL, T.PA, T.FW, T.BW}),
-            ((T.PL, T.PA), (T.FW, T.PA), (T.PA, T.BW)),
-        )
-        top = actgraph.top_indegree(g)
+        top = metrics(STAR).top_indegree
         assert top[0] == (T.PA, pytest.approx(2 / 3))
-        assert len(top) == 3
+        assert top[1:] == ((T.PL, pytest.approx(1 / 3)), (T.BW, pytest.approx(1 / 3)))
 
     def test_tie_breaks_by_token_order(self):
-        g = actgraph.build_graph(seq("Vt", "Po", "Vt"))
-        top = actgraph.top_indegree(g)
-        assert top == [(T.Po, 1.0), (T.Vt, 1.0)]
+        assert metrics(seq("Vt", "Po", "Vt")).top_indegree == ((T.Po, 1.0), (T.Vt, 1.0))
 
     def test_indegree_sums_to_edge_count(self):
-        g = actgraph.build_graph(WORKED)
-        centrality = actgraph.indegree_centrality(g)
-        assert sum(centrality.values()) * (g.num_nodes - 1) == g.num_edges
+        # Two nodes, so the top three hold every node's centrality.
+        m = metrics(WORKED)
+        assert sum(c for _, c in m.top_indegree) * (m.num_nodes - 1) == m.num_edges
 
 
 class TestCentralTransition:
     def test_star_path_edge(self):
-        g = actgraph.ActivityGraph(
-            frozenset({T.PL, T.PA, T.FW, T.BW}),
-            ((T.PL, T.PA), (T.FW, T.PA), (T.PA, T.BW)),
-        )
-        edge, value = actgraph.central_transition(g)
+        # Over the 12 ordered pairs, PA->BW carries FW->BW, PA->BW and PL->BW,
+        # and FW->PA carries FW->PA, FW->PL and FW->BW: a 3/12 tie that PA,
+        # the lower from-token, wins. PA->PL and PL->PA carry 2 each.
+        edge, value = metrics(STAR).central_transition
         assert edge == (T.PA, T.BW)
-        assert value == pytest.approx(3 / 12)
+        assert value == 3 / 12
 
     def test_single_edge(self):
-        g = actgraph.build_graph(seq("PL", "PA"))
-        edge, value = actgraph.central_transition(g)
+        edge, value = metrics(seq("PL", "PA")).central_transition
         assert edge == (T.PL, T.PA)
         assert value == pytest.approx(0.5)
 
     def test_only_self_loops(self):
-        g = actgraph.build_graph(seq("PL", "PL", "PL"))
-        assert actgraph.central_transition(g) is None
+        assert metrics(seq("PL", "PL", "PL")).central_transition is None
 
     def test_empty(self):
-        assert actgraph.central_transition(actgraph.build_graph([])) is None
+        assert metrics([]).central_transition is None
 
 
 def exact_betweenness(g):
     """Edge betweenness as exact Fractions, from the integer numerators."""
-    numerators, denominator = actgraph._betweenness_numerators(g)
+    _, _, succ = actgraph._read_tally(g)
+    numerators, denominator = actgraph._betweenness_numerators(sorted(g.nodes), succ)
     return {edge: Fraction(num, denominator) for edge, num in numerators.items()}
 
 
@@ -144,7 +149,9 @@ class TestAgainstOracles:
         for _ in range(400):
             tokens = random_tokens(rng)
             g = actgraph.build_graph(tokens)
-            assert actgraph.count_scc(g) == scc_count_bruteforce(g.nodes, g.edges)
+            assert actgraph.compute_metrics(g).num_scc == scc_count_bruteforce(
+                g.nodes, g.edges
+            )
 
     def test_betweenness_matches_bruteforce_exactly(self):
         rng = random.Random(48151623)
@@ -170,7 +177,9 @@ class TestAgainstOracles:
             best = max(
                 oracle.items(), key=lambda kv: (kv[1], -kv[0][0].value, -kv[0][1].value)
             )
-            assert actgraph.central_transition(g) == (best[0], float(best[1]))
+            assert actgraph.compute_metrics(g).central_transition == (
+                best[0], float(best[1])
+            )
 
     def test_metric_identities(self):
         rng = random.Random(7)
@@ -179,9 +188,10 @@ class TestAgainstOracles:
             g = actgraph.build_graph(tokens)
             if tokens:
                 assert g.num_edges == len(tokens) - 1
+                assert sum(g.multiplicity.values()) == g.num_edges
             n = g.num_nodes
             if n >= 2:
-                assert actgraph.density(g) * (n * (n - 1)) == g.num_edges
+                assert actgraph.compute_metrics(g).density * (n * (n - 1)) == g.num_edges
 
     def test_relabeling_permutes_metrics(self):
         # Swapping two tokens through a bijection preserves all counts.
@@ -193,9 +203,10 @@ class TestAgainstOracles:
             relabeled = [mapping[t] for t in tokens]
             g1 = actgraph.build_graph(tokens)
             g2 = actgraph.build_graph(relabeled)
-            assert actgraph.count_scc(g1) == actgraph.count_scc(g2)
-            assert actgraph.count_self_loops(g1) == actgraph.count_self_loops(g2)
-            assert actgraph.density(g1) == actgraph.density(g2)
+            m1, m2 = actgraph.compute_metrics(g1), actgraph.compute_metrics(g2)
+            assert m1.num_scc == m2.num_scc
+            assert m1.num_self_loops == m2.num_self_loops
+            assert m1.density == m2.density
             bc1 = exact_betweenness(g1)
             bc2 = exact_betweenness(g2)
             assert {(mapping[u], mapping[v]): x for (u, v), x in bc1.items()} == bc2
@@ -203,34 +214,33 @@ class TestAgainstOracles:
 
 class TestDotExport:
     def test_sentinel_edges(self):
-        g = actgraph.build_graph(seq("Vt", "Po"))
-        dot = actgraph.export_dot(g, seq("Vt", "Po"))
+        dot = actgraph.export_dot(actgraph.build_graph(seq("Vt", "Po")))
         assert '"Be" -> "Vt";' in dot
         assert '"Vt" -> "Po";' in dot
         assert '"Po" -> "En";' in dot
 
     def test_multiplicity_width(self):
-        dot = actgraph.export_dot(actgraph.build_graph(WORKED), WORKED)
+        dot = actgraph.export_dot(actgraph.build_graph(WORKED))
         assert '"Vt" -> "Po" [penwidth=2.0, label="2"];' in dot
 
     def test_empty_sequence(self):
-        dot = actgraph.export_dot(actgraph.build_graph([]), [])
+        dot = actgraph.export_dot(actgraph.build_graph([]))
         assert '"Be"' in dot and '"En"' in dot
         assert "->" not in dot
 
     def test_sentinels_never_reach_metrics(self):
         g = actgraph.build_graph(WORKED)
-        actgraph.export_dot(g, WORKED)
+        actgraph.export_dot(g)
         m = actgraph.compute_metrics(g)
         assert m.num_nodes == 2 and m.num_edges == 4
 
     def test_deterministic(self):
         g = actgraph.build_graph(WORKED)
-        assert actgraph.export_dot(g, WORKED) == actgraph.export_dot(g, WORKED)
+        assert actgraph.export_dot(g) == actgraph.export_dot(g)
 
     def test_mixed_week_sequence_path(self):
         tokens = seq("PL", "PA", "FW", "RCI", "PA", "Vf", "Po")
-        dot = actgraph.export_dot(actgraph.build_graph(tokens), tokens)
+        dot = actgraph.export_dot(actgraph.build_graph(tokens))
         assert '"Be" -> "PL";' in dot
         assert '"Po" -> "En";' in dot
         declared = [l for l in dot.splitlines() if "[shape=circle" in l]
@@ -239,7 +249,7 @@ class TestDotExport:
 
 class TestCsvExport:
     def test_row_shape(self):
-        m = actgraph.compute_metrics(actgraph.build_graph(WORKED))
+        m = metrics(WORKED)
         row = actgraph.metrics_csv_row(7, 3, "curr", m)
         assert row.startswith("7,3,curr,2,4,2,1,1,")
         assert row.count(",") == actgraph.METRICS_CSV_HEADER.count(",")

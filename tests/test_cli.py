@@ -507,6 +507,16 @@ class TestTrainEvalCommands:
                      "'alphas'", id="null-alpha"),
         pytest.param(lambda obj: dict(obj, alphas=[math.nan] + obj["alphas"][1:]),
                      "'alphas'", id="nan-alpha"),
+        pytest.param(lambda obj: dict(obj, alphas=[-3.0] + obj["alphas"][1:]),
+                     "'alphas'", id="negative-alpha"),
+        pytest.param(lambda obj: dict(obj, sv_labels=[7.0] + obj["sv_labels"][1:]),
+                     "'sv_labels'", id="label-7"),
+        pytest.param(lambda obj: dict(obj, sv_indices=obj["sv_indices"][:1] * 2
+                                      + obj["sv_indices"][2:]),
+                     "'sv_indices'", id="repeated-column"),
+        pytest.param(lambda obj: dict(obj, sv_indices=obj["sv_indices"][1::-1]
+                                      + obj["sv_indices"][2:]),
+                     "'sv_indices'", id="descending-columns"),
         pytest.param(lambda obj: dict(obj, bias=math.inf), "'bias'", id="inf-bias"),
         pytest.param(lambda obj: dict(obj, params=dict(obj["params"], gamma=-1.0)),
                      "'gamma'", id="negative-gamma"),

@@ -21,8 +21,7 @@ def kernel_value(x, y, gamma):
         sv_labels=np.ones(1),
         alphas=np.ones(1),
         bias=0.0,
-        gamma=gamma,
-        params=m.SvmParams(),
+        params=m.SvmParams(gamma=gamma),
         converged=True,
         n_iterations=0,
     )
@@ -71,15 +70,14 @@ class TestBatchedDecision:
             sv_labels=np.where(rng.random(30) < 0.5, -1.0, 1.0),
             alphas=rng.random(30) * 2.0,
             bias=0.3,
-            gamma=1.0 / n_cols,
-            params=m.SvmParams(),
+            params=m.SvmParams(gamma=1.0 / n_cols),
             converged=True,
             n_iterations=0,
         )
         assert len(X) > 2 * m._ROW_BLOCK
         fast = m.decision_function(model, X)
         slow = rbf_decision_bruteforce(
-            sv, model.alphas, model.sv_labels, model.bias, model.gamma, X
+            sv, model.alphas, model.sv_labels, model.bias, model.params.gamma, X
         )
         scale = np.abs(model.alphas).sum()
         np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12 * scale)
@@ -413,8 +411,7 @@ class TestSerialization:
             sv_labels=np.zeros(0),
             alphas=np.zeros(0),
             bias=-0.5,
-            gamma=1.0,
-            params=m.SvmParams(class_cost={0: 1.0, 1: 1.0}),
+            params=m.SvmParams(gamma=1.0, class_cost={0: 1.0, 1: 1.0}),
             converged=True,
             n_iterations=0,
         )

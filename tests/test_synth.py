@@ -132,7 +132,8 @@ class TestGenerator:
         keys = sorted(curr)
         labels = [1 if week == last_week[sid] else 0 for sid, week in keys]
         densities = [
-            actgraph.density(actgraph.build_graph(curr[key].tokens)) for key in keys
+            actgraph.compute_metrics(actgraph.build_graph(curr[key].tokens)).density
+            for key in keys
         ]
         split = features.Dichotomizer.fit(densities, "equal_frequency")
         bins = [split.apply(d) for d in densities]
