@@ -2,7 +2,8 @@
 
 The solver works on the soft-margin dual with per-class box constraints
 0 <= alpha_i <= C * class_cost[y_i], optimized by sequential minimal
-optimization with maximal-violating-pair working-set selection. Kernel
+optimization with maximal-violating-pair working-set selection, ties broken
+by the lowest index. Kernel
 values come from squared row norms and one matrix product per block, in
 training and in prediction alike. Evaluation
 reports accuracy, Cohen's kappa and false negative rate with dropout as
@@ -23,6 +24,9 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 _EPS = 1e-12
+# Working-set scores this close to the extreme, relative to max(1, |extreme|),
+# count as tied with it (see _lowest_near_max).
+_TIE = 1e-12
 
 
 @dataclass
@@ -80,6 +84,17 @@ def _rbf_block(
     np.maximum(block, 0.0, out=block)
     block *= -gamma
     return np.exp(block, out=block)
+
+
+def _lowest_near_max(values: np.ndarray) -> int:
+    """The lowest index whose value is within _TIE of values.max().
+
+    After an unclipped step the optimized pair's scores are equal up to
+    rounding, so an exact argmax would pick between them by the last bit,
+    which any change in the summation order of the kernel values can flip.
+    """
+    top = values.max()
+    return int(np.argmax(values >= top - _TIE * max(1.0, abs(top))))
 
 
 def _index_sets(y: np.ndarray, alpha: np.ndarray, C: np.ndarray):
@@ -168,8 +183,8 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
         if not up.any() or not low.any():
             converged = True
             break
-        i = int(np.where(up, scores, -np.inf).argmax())
-        j = int(np.where(low, scores, np.inf).argmin())
+        i = _lowest_near_max(np.where(up, scores, -np.inf))
+        j = _lowest_near_max(np.where(low, -scores, -np.inf))
         if scores[i] - scores[j] < params.tolerance:
             converged = True
             break

@@ -177,6 +177,22 @@ class TestSmoTraining:
         model = m.fit_svm(X, y, m.SvmParams(C=1.0, max_iter=3))
         assert model.n_iterations == 3 and not model.converged
 
+    @pytest.mark.parametrize("seed", range(32, 40))
+    def test_column_permutation_changes_nothing(self, seed):
+        # Permuting the feature columns changes only the summation order of
+        # the kernel values. Seed 36 took 200 and 202 steps when the working
+        # set was an exact argmax, which picks between tied scores by rounding.
+        rng = np.random.default_rng(seed)
+        n, d = 200, 80
+        X = rng.integers(0, 3, (n, d)) * (rng.random((n, d)) < 0.08) * rng.random((n, d))
+        y = (X[:, :6].sum(axis=1) + rng.random(n) > 1.5).astype(int)
+        perm = rng.permutation(d)
+        a = m.fit_svm(X, y, m.SvmParams(seed=1))
+        b = m.fit_svm(X[:, perm], y, m.SvmParams(seed=1))
+        assert a.n_iterations == b.n_iterations
+        assert np.array_equal(a.support_vectors[:, perm], b.support_vectors)
+        assert np.array_equal(m.predict_all(a, X), m.predict_all(b, X[:, perm]))
+
     def test_kkt_gap_reported(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(80, 3))
