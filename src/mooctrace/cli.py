@@ -321,7 +321,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate_model(model_path: str, X: np.ndarray, y: np.ndarray, names: tuple):
+def _evaluate_model(model_path: str, X: features.Csr, y: np.ndarray, names: tuple):
     from mooctrace import model as svm
 
     try:

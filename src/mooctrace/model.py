@@ -3,11 +3,14 @@
 The solver works on the soft-margin dual with per-class box constraints
 0 <= alpha_i <= C * class_cost[y_i], optimized by sequential minimal
 optimization with maximal-violating-pair working-set selection, ties broken
-by the lowest index. Kernel
-values come from squared row norms and one matrix product per block, in
-training and in prediction alike. Evaluation
-reports accuracy, Cohen's kappa and false negative rate with dropout as
-the positive class.
+by the lowest index. Data and support vectors are features.Csr matrices, so
+memory grows with the nonzeros, never with rows x features. Kernel values
+come from squared row norms and the dot products of features.RowDots: one
+BLAS product over a matrix's frequent columns, and an inverted index over
+its other nonzeros. A training-kernel column is one training row against the
+training rows; prediction scores a block of test rows at a time against the
+support vectors. Evaluation reports accuracy, Cohen's kappa and false
+negative rate with dropout as the positive class.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
+
+from mooctrace.features import Csr, CsrError, RowDots
 
 _EPS = 1e-12
 # Working-set scores this close to the extreme, relative to max(1, |extreme|),
@@ -47,7 +52,7 @@ class SvmParams:
 
 @dataclass
 class TrainedModel:
-    support_vectors: np.ndarray   # (n_sv, n_features)
+    support_vectors: Csr          # n_sv rows
     sv_labels: np.ndarray         # in {-1, +1}
     alphas: np.ndarray
     bias: float
@@ -60,30 +65,29 @@ class TrainedModel:
 
 # Test rows scored per kernel block in decision_function: bounds the block at
 # _ROW_BLOCK x n_sv floats however many rows are scored.
-_ROW_BLOCK = 512
+_ROW_BLOCK = 256
+# A column nonzero in more than 1/share of the indexed rows enters the dense
+# part of a RowDots index. A training-kernel column multiplies one row by the
+# dense part, so only columns in over a quarter of the training rows pay
+# their way there; a block of test rows shares one matrix product, so
+# columns in over a twentieth of the support vectors do.
+_TRAIN_SHARE = 4
+_PREDICT_SHARE = 20
 
 
-def _sq_norms(A: np.ndarray) -> np.ndarray:
-    """||a||^2 for every row a of A."""
-    return np.einsum("ij,ij->i", A, A)
+def _rbf(dots: np.ndarray, a_sq, b_sq, gamma: float) -> np.ndarray:
+    """exp(-gamma * ||a - b||^2) from the dot products a.b, in place of dots.
 
-
-def _rbf_block(
-    A: np.ndarray, a_sq: np.ndarray, B: np.ndarray, b_sq: np.ndarray, gamma: float
-) -> np.ndarray:
-    """The len(A) x len(B) block exp(-gamma * ||a - b||^2) over rows a of A, b of B.
-
-    Squared distances come from the row norms a_sq, b_sq and one matrix
-    product as ||a||^2 + ||b||^2 - 2 a.b, clamped at 0 so that rounding
-    never lifts a kernel value above 1; each value is in [0, 1].
+    Squared distances are ||a||^2 + ||b||^2 - 2 a.b with the norms a_sq and
+    b_sq broadcast against dots, clamped at 0 so that rounding never lifts
+    a kernel value above 1; each value is in [0, 1].
     """
-    block = A @ B.T
-    block *= -2.0
-    block += a_sq[:, None]
-    block += b_sq[None, :]
-    np.maximum(block, 0.0, out=block)
-    block *= -gamma
-    return np.exp(block, out=block)
+    dots *= -2.0
+    dots += a_sq
+    dots += b_sq
+    np.maximum(dots, 0.0, out=dots)
+    dots *= -gamma
+    return np.exp(dots, out=dots)
 
 
 def _lowest_near_max(values: np.ndarray) -> int:
@@ -115,8 +119,8 @@ def default_class_cost(y01: np.ndarray) -> dict[int, float]:
     return {0: n1 / n0, 1: 1.0}
 
 
-def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
-    """Train on dense arrays with labels in {0, 1}.
+def fit_svm(X: Csr, y01: np.ndarray, params: SvmParams) -> TrainedModel:
+    """Train on the rows of X with labels in {0, 1}.
 
     Each SMO step optimizes the maximal-KKT-violating pair analytically,
     which never decreases the dual objective; iteration stops once the
@@ -125,17 +129,18 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
     gamma, C * class_cost or tolerance not finite and positive, or max_iter
     negative.
     """
-    X = np.asarray(X, dtype=float)
     y01 = np.asarray(y01, dtype=int)
     n = len(y01)
     if n == 0:
         raise ValueError("empty training data")
+    if len(X) != n:
+        raise ValueError(f"{len(X)} rows of X for {n} labels")
     if len(set(y01.tolist())) < 2:
         raise ValueError("training data contains a single class")
-    if X.ndim != 2 or X.shape[1] == 0:
+    if X.n_features == 0:
         raise ValueError("training data has no feature columns")
 
-    gamma = params.gamma if params.gamma is not None else 1.0 / X.shape[1]
+    gamma = params.gamma if params.gamma is not None else 1.0 / X.n_features
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, not {gamma}")
     if gamma == math.inf:  # inf * 0 is NaN: the kernel of a point with itself
@@ -156,22 +161,15 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
 
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of (1/2) a'Qa - sum(a) at alpha = 0
-    # LRU cache of training-kernel columns (the full matrix can be too large).
-    # Column i's dot products read X only where X[i] is nonzero (about 4% of
-    # n-gram features), from a column-major copy; the row norms cover every
-    # feature. Gathering costs about three times a full pass per entry, so a
-    # row with a quarter or more of its features nonzero takes the full pass.
-    sq = _sq_norms(X)
-    finite = np.isfinite(sq)
-    if not finite.all():
-        raise ValueError(f"row {int(np.argmin(finite))} of X: squared norm is not finite")
-    X_cols = np.asfortranarray(X)
+    # LRU cache of training-kernel columns (the full matrix can be too large),
+    # each from row i's dot products with every training row.
+    index = RowDots(X, _TRAIN_SHARE)
+    sq = X.sq_norms
 
     @functools.lru_cache(maxsize=max(64, min(n, 2048)))
     def column(i: int) -> np.ndarray:
-        nonzero = np.flatnonzero(X[i])
-        cols = nonzero if 4 * len(nonzero) < X.shape[1] else slice(None)
-        return _rbf_block(X_cols[:, cols], sq, X[i : i + 1, cols], sq[i : i + 1], gamma)[:, 0]
+        dots = index.dots(index.dense[i : i + 1], index.rare, i, i + 1)[0]
+        return _rbf(dots, sq, sq[i], gamma)
 
     rng = random.Random(params.seed)
 
@@ -236,44 +234,38 @@ def fit_svm(X: np.ndarray, y01: np.ndarray, params: SvmParams) -> TrainedModel:
     bias = float(scores[free].mean()) if free.any() else float((hi + lo) / 2.0)
 
     sv = alpha > _EPS
-    resolved = SvmParams(
-        C=params.C,
-        gamma=gamma,
-        class_cost=dict(class_cost),
-        tolerance=params.tolerance,
-        max_iter=params.max_iter,
-        seed=params.seed,
-    )
     return TrainedModel(
-        support_vectors=X[sv].copy(),
+        support_vectors=X.take(np.flatnonzero(sv)),
         sv_labels=y[sv].copy(),
         alphas=alpha[sv].copy(),
         bias=bias,
-        params=resolved,
+        params=replace(params, gamma=gamma, class_cost=dict(class_cost)),
         converged=converged,
         n_iterations=iterations,
         kkt_gap=kkt_gap,
     )
 
 
-def decision_function(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+def decision_function(model: TrainedModel, X: Csr) -> np.ndarray:
     """Decision values sum_i alpha_i y_i K(sv_i, x) + bias, one per row of X.
 
-    Rows are scored _ROW_BLOCK at a time, each block against every support
-    vector in one matrix product.
+    Rows are scored _ROW_BLOCK at a time. A block's dot products with the
+    support vectors are one matrix product over the columns nonzero in more
+    than 1/_PREDICT_SHARE of the support vectors, plus the support vectors'
+    inverted index for every other column.
     """
-    X = np.asarray(X, dtype=float)
     sv = model.support_vectors
-    n_features = sv.shape[1]
-    if X.ndim != 2 or X.shape[1] != n_features:
-        raise ValueError(f"dimension mismatch: {X.shape} vs {n_features} features")
+    if X.n_features != sv.n_features:
+        raise ValueError(f"dimension mismatch: {X.n_features} vs {sv.n_features} features")
+    index = RowDots(sv, _PREDICT_SHARE)
+    dense, rare = index.split(X)
     coef = model.alphas * model.sv_labels
-    sv_sq = _sq_norms(sv)
     values = np.empty(len(X))
     for start in range(0, len(X), _ROW_BLOCK):
-        rows = X[start : start + _ROW_BLOCK]
-        kernel = _rbf_block(rows, _sq_norms(rows), sv, sv_sq, model.params.gamma)
-        values[start : start + len(rows)] = kernel @ coef
+        stop = min(start + _ROW_BLOCK, len(X))
+        dots = index.dots(dense[start:stop], rare, start, stop)
+        kernel = _rbf(dots, X.sq_norms[start:stop, None], sv.sq_norms, model.params.gamma)
+        values[start:stop] = kernel @ coef
     return values + model.bias
 
 
@@ -433,28 +425,20 @@ def dump_model(model: TrainedModel) -> str:
     """The model as JSON text; support vectors as CSR rows (sv_indptr,
     sv_indices, sv_values) over n_features columns."""
     sv = model.support_vectors
-    rows, cols = np.nonzero(sv)
-    indptr = np.zeros(len(sv) + 1, dtype=int)
-    np.cumsum(np.bincount(rows, minlength=len(sv)), out=indptr[1:])
     obj = {
         "version": MODEL_FORMAT_VERSION,
-        "params": {
-            "C": model.params.C,
-            "gamma": model.params.gamma,
-            "class_cost": {str(k): v for k, v in (model.params.class_cost or {}).items()},
-            "tolerance": model.params.tolerance,
-            "max_iter": model.params.max_iter,
-            "seed": model.params.seed,
+        "params": asdict(model.params) | {
+            "class_cost": {str(k): v for k, v in (model.params.class_cost or {}).items()}
         },
         "bias": model.bias,
         "converged": model.converged,
         "n_iterations": model.n_iterations,
         "kkt_gap": model.kkt_gap,
-        "n_features": int(sv.shape[1]),
+        "n_features": sv.n_features,
         "feature_names": list(model.feature_names) if model.feature_names else None,
-        "sv_indptr": indptr.tolist(),
-        "sv_indices": cols.tolist(),
-        "sv_values": sv[rows, cols].tolist(),
+        "sv_indptr": sv.indptr.tolist(),
+        "sv_indices": sv.indices.tolist(),
+        "sv_values": sv.data.tolist(),
         "sv_labels": model.sv_labels.astype(float).tolist(),
         "alphas": model.alphas.astype(float).tolist(),
     }
@@ -504,10 +488,19 @@ def _array(obj: dict, key: str, dtype: type) -> np.ndarray:
     return values
 
 
-def _support_vectors(obj: dict, n_sv: int) -> np.ndarray:
-    """The dense (n_sv, n_features) matrix the model's CSR keys describe."""
-    n_features = obj["n_features"]
-    if n_features < 0:
+# The load_model error for each Csr check the support vectors fail.
+_SV_ERRORS = {
+    "indptr": "model key 'sv_indptr' is not nondecreasing from 0 to len(sv_indices)",
+    "column": "model key 'sv_indices' has a column outside [0, n_features)",
+    "value": "model key 'sv_values' has an entry that is not finite",
+    "order": "model key 'sv_indices' does not ascend within a support vector",
+    "norm": "model key 'sv_values' gives a support vector a non-finite norm",
+}
+
+
+def _support_vectors(obj: dict, n_sv: int) -> Csr:
+    """The n_sv support vectors the model's CSR keys describe."""
+    if obj["n_features"] < 0:
         raise ValueError("model key 'n_features' is negative")
     indptr = _array(obj, "sv_indptr", int)
     indices = _array(obj, "sv_indices", int)
@@ -516,19 +509,10 @@ def _support_vectors(obj: dict, n_sv: int) -> np.ndarray:
         raise ValueError("model keys 'sv_indices' and 'sv_values' differ in length")
     if len(indptr) != n_sv + 1:
         raise ValueError(f"model key 'sv_indptr' has {len(indptr)} entries, not {n_sv + 1}")
-    if indptr[0] != 0 or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
-        raise ValueError("model key 'sv_indptr' is not nondecreasing from 0 to len(sv_indices)")
-    if np.any((indices < 0) | (indices >= n_features)):
-        raise ValueError("model key 'sv_indices' has a column outside [0, n_features)")
-    rows = np.repeat(np.arange(n_sv), np.diff(indptr))
-    # A repeated column would overwrite its earlier value; dump_model ascends.
-    if np.any((np.diff(rows) == 0) & (np.diff(indices) <= 0)):
-        raise ValueError("model key 'sv_indices' does not ascend within a support vector")
-    sv = np.zeros((n_sv, n_features))
-    sv[rows, indices] = values
-    if not np.isfinite(_sq_norms(sv)).all():
-        raise ValueError("model key 'sv_values' gives a support vector a non-finite norm")
-    return sv
+    try:
+        return Csr(indptr, indices, values, obj["n_features"])
+    except CsrError as exc:
+        raise ValueError(_SV_ERRORS[exc.check]) from None
 
 
 def load_model(text: str, feature_names: tuple[str, ...] | None = None) -> TrainedModel:
@@ -568,14 +552,8 @@ def load_model(text: str, feature_names: tuple[str, ...] | None = None) -> Train
         raise ValueError("model key 'sv_labels' has an entry other than -1 and 1")
     if not np.all(alphas > 0):
         raise ValueError("model key 'alphas' has an entry that is not positive")
-    params = SvmParams(
-        C=p["C"],
-        gamma=p["gamma"],
-        class_cost={int(k): v for k, v in p["class_cost"].items()},
-        tolerance=p["tolerance"],
-        max_iter=p["max_iter"],
-        seed=p["seed"],
-    )
+    class_cost = {int(k): v for k, v in p["class_cost"].items()}
+    params = SvmParams(**{key: p[key] for key in _PARAM_KEYS} | {"class_cost": class_cost})
     return TrainedModel(
         support_vectors=_support_vectors(obj, len(alphas)),
         sv_labels=sv_labels,

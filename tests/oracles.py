@@ -15,6 +15,24 @@ from fractions import Fraction
 import numpy as np
 from scipy import optimize
 
+from mooctrace.features import Csr
+
+
+def csr(X) -> Csr:
+    """The Csr matrix of a dense 2-D array (or nested list) of rows."""
+    X = np.asarray(X, dtype=float)
+    rows, cols = np.nonzero(X)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(X)))))
+    return Csr(indptr, cols, X[rows, cols], X.shape[1])
+
+
+def dense(matrix: Csr) -> np.ndarray:
+    """The dense array of a Csr matrix's rows."""
+    out = np.zeros((len(matrix), matrix.n_features))
+    rows = np.repeat(np.arange(len(matrix)), np.diff(matrix.indptr))
+    out[rows, matrix.indices] = matrix.data
+    return out
+
 
 def scc_count_bruteforce(nodes, edges) -> int:
     """Count SCCs via pairwise reachability closure."""
@@ -120,7 +138,7 @@ def svm_dual_objective(model) -> float:
     Q_ij = y_i y_j K(sv_i, sv_j), each kernel value from explicit differences
     (rbf_decision_bruteforce with zero bias), not from the solver's gradient.
     """
-    sv = model.support_vectors
+    sv = dense(model.support_vectors)
     kernel_sums = rbf_decision_bruteforce(sv, model.alphas, model.sv_labels, 0.0,
                                           model.params.gamma, sv)
     return float(model.alphas.sum() - 0.5 * (model.alphas * model.sv_labels) @ kernel_sums)

@@ -30,7 +30,7 @@ from mooctrace.events import (
     parse_forum_log,
 )
 from mooctrace.footprint import build_curr_sequences
-from oracles import edge_betweenness_bruteforce, scc_count_bruteforce, svm_dual_objective
+from oracles import csr, edge_betweenness_bruteforce, scc_count_bruteforce, svm_dual_objective
 
 
 @contextmanager
@@ -127,8 +127,8 @@ def test_criterion_5_svm_correctness():
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 0, 1, 1])
         params = svm.SvmParams(C=10.0, gamma=1.0, class_cost={0: 1.0, 1: 1.0})
-        model = svm.fit_svm(X, y, params)
-        assert list(svm.predict_all(model, X)) == list(y)
+        model = svm.fit_svm(csr(X), y, params)
+        assert list(svm.predict_all(model, csr(X))) == list(y)
 
         caps = np.array(
             [params.C * params.class_cost[1 if lbl > 0 else 0] for lbl in model.sv_labels]
@@ -138,7 +138,7 @@ def test_criterion_5_svm_correctness():
         assert abs(float(np.dot(model.alphas, model.sv_labels))) <= 10 * params.tolerance
 
         trace = np.array([
-            svm_dual_objective(svm.fit_svm(X, y, replace(params, max_iter=k)))
+            svm_dual_objective(svm.fit_svm(csr(X), y, replace(params, max_iter=k)))
             for k in range(1, model.n_iterations + 1)
         ])
         assert np.all(np.diff(trace) >= -1e-9)
@@ -152,13 +152,13 @@ def test_criterion_5_svm_correctness():
                           rng.normal(1.2, 1.0, size=(20, 2))])
         y_ev = np.array([0] * 380 + [1] * 20)
         uniform = svm.fit_svm(
-            X_tr, y_tr, svm.SvmParams(C=1.0, gamma=0.5, class_cost={0: 1.0, 1: 1.0})
+            csr(X_tr), y_tr, svm.SvmParams(C=1.0, gamma=0.5, class_cost={0: 1.0, 1: 1.0})
         )
         weighted = svm.fit_svm(
-            X_tr, y_tr, svm.SvmParams(C=1.0, gamma=0.5, class_cost={0: 1.0, 1: 19.0})
+            csr(X_tr), y_tr, svm.SvmParams(C=1.0, gamma=0.5, class_cost={0: 1.0, 1: 19.0})
         )
-        fnr_uniform = svm.evaluate(list(svm.predict_all(uniform, X_ev)), list(y_ev)).fnr
-        fnr_weighted = svm.evaluate(list(svm.predict_all(weighted, X_ev)), list(y_ev)).fnr
+        fnr_uniform = svm.evaluate(list(svm.predict_all(uniform, csr(X_ev))), list(y_ev)).fnr
+        fnr_weighted = svm.evaluate(list(svm.predict_all(weighted, csr(X_ev))), list(y_ev)).fnr
         assert fnr_weighted < fnr_uniform
 
 

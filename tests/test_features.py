@@ -10,6 +10,7 @@ from mooctrace.footprint import (
     build_curr_sequences,
     build_tcurr_sequences,
 )
+from oracles import dense
 
 COURSE_START = 0.0
 MIXED_WEEK_SEQ = [T.PL, T.PA, T.FW, T.RCI, T.PA, T.Vf, T.Po]
@@ -371,7 +372,7 @@ class TestMatrixRoundTrip:
         index = train.feature_index
         X, y = ft.read_sparse(ft.export_sparse(train), len(index))
         assert list(y) == [fv.label for fv in train.instances]
-        for row, fv in zip(X, train.instances):
+        for row, fv in zip(dense(X), train.instances):
             assert {name: row[col] for name, col in index.items() if row[col]} == fv.features
 
     @pytest.mark.parametrize("item", ["5:1.0", "-1:5.0", "x:1.0", "1:abc", "3", "1.5:2.0",

@@ -1,13 +1,16 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from mooctrace import features as ft
 from mooctrace import model as m
-from oracles import rbf_decision_bruteforce, svm_dual_objective, svm_dual_qp
+from mooctrace.features import Csr
+from oracles import csr, dense, rbf_decision_bruteforce, svm_dual_objective, svm_dual_qp
 
 TOY_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 TOY_Y = np.array([0, 0, 1, 1])
@@ -17,7 +20,7 @@ TOY_PARAMS = m.SvmParams(C=10.0, gamma=1.0, class_cost={0: 1.0, 1: 1.0})
 def kernel_value(x, y, gamma):
     """K(x, y) read off the decision value of a one-SV model (alpha 1, bias 0)."""
     model = m.TrainedModel(
-        support_vectors=np.array([y], dtype=float),
+        support_vectors=csr([y]),
         sv_labels=np.ones(1),
         alphas=np.ones(1),
         bias=0.0,
@@ -25,7 +28,7 @@ def kernel_value(x, y, gamma):
         converged=True,
         n_iterations=0,
     )
-    (value,) = m.decision_function(model, np.array([x], dtype=float))
+    (value,) = m.decision_function(model, csr([x]))
     return value
 
 
@@ -66,7 +69,7 @@ class TestBatchedDecision:
         X[3] = sv[7]          # distance 0: the clamp keeps K <= 1
         X[-1] = 1e3           # far away: every kernel value underflows to 0
         model = m.TrainedModel(
-            support_vectors=sv,
+            support_vectors=csr(sv),
             sv_labels=np.where(rng.random(30) < 0.5, -1.0, 1.0),
             alphas=rng.random(30) * 2.0,
             bias=0.3,
@@ -75,7 +78,7 @@ class TestBatchedDecision:
             n_iterations=0,
         )
         assert len(X) > 2 * m._ROW_BLOCK
-        fast = m.decision_function(model, X)
+        fast = m.decision_function(model, csr(X))
         slow = rbf_decision_bruteforce(
             sv, model.alphas, model.sv_labels, model.bias, model.params.gamma, X
         )
@@ -90,8 +93,90 @@ class TestBatchedDecision:
             assert kernel_value(row, row, 1.0) <= 1.0
 
     def test_zero_rows(self):
-        model = m.fit_svm(TOY_X, TOY_Y, TOY_PARAMS)
-        assert m.decision_function(model, np.zeros((0, 2))).shape == (0,)
+        model = m.fit_svm(csr(TOY_X), TOY_Y, TOY_PARAMS)
+        assert m.decision_function(model, csr(np.zeros((0, 2)))).shape == (0,)
+
+
+def sparse_text(rng, n_rows, n_cols):
+    """`label col:value` rows over n_cols columns, as read_sparse reads them.
+
+    Columns 0-2 are nonzero in most rows, as the control variables are. Row 0
+    is all zero, row 1 has over a quarter of its columns nonzero, and row 2
+    lists every column, its zeros as explicit `col:0.0` items.
+    """
+    X = sparse_like(rng, n_rows, n_cols, density=0.05)
+    X[:, :3] = sparse_like(rng, n_rows, 3, density=0.8)
+    X[0] = 0.0
+    X[1, : n_cols // 2] = rng.random(n_cols // 2) + 0.1
+    y = (X[:, :8].sum(axis=1) + 0.2 * rng.random(n_rows) > 0.3).astype(int)
+    lines = []
+    for r, row in enumerate(X):
+        cols = range(n_cols) if r == 2 else np.flatnonzero(row)
+        lines.append(" ".join([str(y[r])] + [f"{c}:{float(row[c])!r}" for c in cols]))
+    return "\n".join(lines) + "\n", X
+
+
+class TestSparseKernel:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fit_and_predict_match_bruteforce(self, seed):
+        rng = np.random.default_rng(seed)
+        n_cols = 60
+        text, X = sparse_text(rng, 120, n_cols)
+        X_test_text, X_test = sparse_text(rng, 2 * m._ROW_BLOCK + 3, n_cols)
+        train, y = ft.read_sparse(text, n_cols)
+        test, _ = ft.read_sparse(X_test_text, n_cols)
+        assert np.array_equal(dense(train), X) and np.all(train.data != 0)
+        assert len(train.indices) < len(text.split(":")) - 1  # the explicit zeros are gone
+        model = m.fit_svm(train, y, m.SvmParams(C=2.0, seed=seed))
+        assert model.converged and np.all(model.support_vectors.data != 0)
+        sv = dense(model.support_vectors)
+        args = (model.alphas, model.sv_labels, model.bias, model.params.gamma)
+        scale = np.abs(model.alphas).sum()
+        np.testing.assert_allclose(m.decision_function(model, test),
+                                   rbf_decision_bruteforce(sv, *args, X_test),
+                                   rtol=1e-12, atol=1e-12 * scale)
+        # KKT from kernel values the solver never computed: a free support
+        # vector sits on the margin, a bounded one on or inside it.
+        margin = model.sv_labels * rbf_decision_bruteforce(sv, *args, sv)
+        caps = np.array([model.params.C * model.params.class_cost[int(lbl > 0)]
+                         for lbl in model.sv_labels])
+        free = model.alphas < caps - 1e-12
+        assert free.any()
+        assert np.all(np.abs(margin[free] - 1.0) < model.params.tolerance)
+        assert np.all(margin[~free] < 1.0 + model.params.tolerance)
+
+    @pytest.mark.parametrize("share", [m._TRAIN_SHARE, m._PREDICT_SHARE])
+    def test_dot_products_match_dense(self, share):
+        rng = np.random.default_rng(share)
+        text, X = sparse_text(rng, 90, 40)
+        matrix, _ = ft.read_sparse(text, 40)
+        index = ft.RowDots(matrix, share)
+        assert 0 < len(index.dense[0]) < 40  # both parts in use
+        exact = X @ X.T
+        for i in range(len(X)):  # one row, as a training-kernel column
+            row = index.dots(index.dense[i : i + 1], index.rare, i, i + 1)[0]
+            np.testing.assert_allclose(row, exact[i], rtol=1e-12, atol=1e-12)
+        block = index.dots(index.dense[5:70], index.rare, 5, 70)  # rows, as in prediction
+        np.testing.assert_allclose(block, exact[5:70], rtol=1e-12, atol=1e-12)
+
+    def test_memory_scales_with_nonzeros(self):
+        # 400 x 50,000 with at most 10 nonzeros per row: any dense n x
+        # n_features float array would take 160 MB.
+        rng = np.random.default_rng(4)
+        n, d = 400, 50_000
+        cols = [np.unique(rng.integers(0, d, 10)) for _ in range(n)]
+        indptr = np.concatenate(([0], np.cumsum([len(c) for c in cols])))
+        X = Csr(indptr, np.concatenate(cols), rng.random(indptr[-1]) + 0.5, d)
+        y = (rng.random(n) < 0.3).astype(int)
+        tracemalloc.start()
+        try:
+            model = m.fit_svm(X, y, m.SvmParams(seed=1))
+            values = m.decision_function(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(values) == n and len(model.alphas) > 0
+        assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def kkt_violations(model: m.TrainedModel) -> tuple[float, float]:
@@ -109,18 +194,18 @@ def kkt_violations(model: m.TrainedModel) -> tuple[float, float]:
 
 class TestSmoTraining:
     def test_separable_toy_perfect_accuracy(self):
-        model = m.fit_svm(TOY_X, TOY_Y, TOY_PARAMS)
+        model = m.fit_svm(csr(TOY_X), TOY_Y, TOY_PARAMS)
         assert model.converged
-        assert list(m.predict_all(model, TOY_X)) == list(TOY_Y)
+        assert list(m.predict_all(model, csr(TOY_X))) == list(TOY_Y)
 
     def test_toy_matches_qp_oracle_objective(self):
-        model = m.fit_svm(TOY_X, TOY_Y, TOY_PARAMS)
+        model = m.fit_svm(csr(TOY_X), TOY_Y, TOY_PARAMS)
         _, qp_objective = svm_dual_qp(TOY_X, TOY_Y, [10.0] * 4, gamma=1.0)
         smo_objective = svm_dual_objective(model)
         assert smo_objective == pytest.approx(qp_objective, rel=1e-4, abs=1e-6)
 
     def test_kkt_constraints_hold(self):
-        model = m.fit_svm(TOY_X, TOY_Y, TOY_PARAMS)
+        model = m.fit_svm(csr(TOY_X), TOY_Y, TOY_PARAMS)
         box, eq = kkt_violations(model)
         assert box <= 10 * TOY_PARAMS.tolerance
         assert eq <= 10 * TOY_PARAMS.tolerance
@@ -130,10 +215,10 @@ class TestSmoTraining:
         X = rng.normal(size=(40, 3))
         y = (X[:, 0] + 0.3 * rng.normal(size=40) > 0).astype(int)
         params = m.SvmParams(C=2.0, gamma=0.8, seed=1)
-        model = m.fit_svm(X, y, params)
+        model = m.fit_svm(csr(X), y, params)
         # The objective after step k is that of the model stopped at k steps.
         trace = np.array([
-            svm_dual_objective(m.fit_svm(X, y, dataclasses.replace(params, max_iter=k)))
+            svm_dual_objective(m.fit_svm(csr(X), y, dataclasses.replace(params, max_iter=k)))
             for k in range(1, model.n_iterations + 1)
         ])
         assert len(trace) > 1
@@ -142,39 +227,39 @@ class TestSmoTraining:
     def test_two_point_problem(self):
         X = np.array([[0.0, 0.0], [2.0, 0.0]])
         y = np.array([0, 1])
-        model = m.fit_svm(X, y, m.SvmParams(C=5.0, gamma=1.0))
-        assert list(m.predict_all(model, X)) == [0, 1]
+        model = m.fit_svm(csr(X), y, m.SvmParams(C=5.0, gamma=1.0))
+        assert list(m.predict_all(model, csr(X))) == [0, 1]
 
     def test_symmetric_midpoint_ties_to_zero(self):
         X = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        model = m.fit_svm(X, np.array([0, 1]), m.SvmParams(C=1.0, gamma=1.0))
+        model = m.fit_svm(csr(X), np.array([0, 1]), m.SvmParams(C=1.0, gamma=1.0))
         origin = np.array([[0.0, 0.0]])
-        assert m.decision_function(model, origin)[0] == pytest.approx(0.0, abs=1e-9)
-        assert list(m.predict_all(model, origin)) == [0]
+        assert m.decision_function(model, csr(origin))[0] == pytest.approx(0.0, abs=1e-9)
+        assert list(m.predict_all(model, csr(origin))) == [0]
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="single class"):
-            m.fit_svm(TOY_X, np.zeros(4, dtype=int), TOY_PARAMS)
+            m.fit_svm(csr(TOY_X), np.zeros(4, dtype=int), TOY_PARAMS)
 
     def test_duplicate_points_survive(self):
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         y = np.array([0, 0, 1, 1])
-        model = m.fit_svm(X, y, m.SvmParams(C=3.0, gamma=1.0, seed=2))
-        assert list(m.predict_all(model, X)) == [0, 0, 1, 1]
+        model = m.fit_svm(csr(X), y, m.SvmParams(C=3.0, gamma=1.0, seed=2))
+        assert list(m.predict_all(model, csr(X))) == [0, 0, 1, 1]
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(60, 4))
         y = (rng.random(60) < 0.4).astype(int)
-        a = m.fit_svm(X, y, m.SvmParams(C=1.0, seed=7))
-        b = m.fit_svm(X, y, m.SvmParams(C=1.0, seed=7))
+        a = m.fit_svm(csr(X), y, m.SvmParams(C=1.0, seed=7))
+        b = m.fit_svm(csr(X), y, m.SvmParams(C=1.0, seed=7))
         assert np.array_equal(a.alphas, b.alphas) and a.bias == b.bias
 
     def test_nonconvergence_flagged(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(80, 3))
         y = (rng.random(80) < 0.5).astype(int)
-        model = m.fit_svm(X, y, m.SvmParams(C=1.0, max_iter=3))
+        model = m.fit_svm(csr(X), y, m.SvmParams(C=1.0, max_iter=3))
         assert model.n_iterations == 3 and not model.converged
 
     @pytest.mark.parametrize("seed", range(32, 40))
@@ -187,18 +272,18 @@ class TestSmoTraining:
         X = rng.integers(0, 3, (n, d)) * (rng.random((n, d)) < 0.08) * rng.random((n, d))
         y = (X[:, :6].sum(axis=1) + rng.random(n) > 1.5).astype(int)
         perm = rng.permutation(d)
-        a = m.fit_svm(X, y, m.SvmParams(seed=1))
-        b = m.fit_svm(X[:, perm], y, m.SvmParams(seed=1))
+        a = m.fit_svm(csr(X), y, m.SvmParams(seed=1))
+        b = m.fit_svm(csr(X[:, perm]), y, m.SvmParams(seed=1))
         assert a.n_iterations == b.n_iterations
-        assert np.array_equal(a.support_vectors[:, perm], b.support_vectors)
-        assert np.array_equal(m.predict_all(a, X), m.predict_all(b, X[:, perm]))
+        assert np.array_equal(dense(a.support_vectors)[:, perm], dense(b.support_vectors))
+        assert np.array_equal(m.predict_all(a, csr(X)), m.predict_all(b, csr(X[:, perm])))
 
     def test_kkt_gap_reported(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(80, 3))
         y = (rng.random(80) < 0.5).astype(int)
-        stopped = m.fit_svm(X, y, m.SvmParams(C=1.0, max_iter=3))
-        done = m.fit_svm(X, y, m.SvmParams(C=1.0))
+        stopped = m.fit_svm(csr(X), y, m.SvmParams(C=1.0, max_iter=3))
+        done = m.fit_svm(csr(X), y, m.SvmParams(C=1.0))
         assert stopped.kkt_gap >= stopped.params.tolerance
         assert done.converged and done.kkt_gap < done.params.tolerance
 
@@ -222,13 +307,13 @@ class TestCostSensitivity:
     def test_minority_weighting_lowers_fnr(self):
         (X_tr, y_tr), (X_ev, y_ev) = imbalanced_fixture()
         uniform = m.fit_svm(
-            X_tr, y_tr, m.SvmParams(C=1.0, gamma=0.5, class_cost={0: 1.0, 1: 1.0})
+            csr(X_tr), y_tr, m.SvmParams(C=1.0, gamma=0.5, class_cost={0: 1.0, 1: 1.0})
         )
         weighted = m.fit_svm(
-            X_tr, y_tr, m.SvmParams(C=1.0, gamma=0.5, class_cost={0: 1.0, 1: 19.0})
+            csr(X_tr), y_tr, m.SvmParams(C=1.0, gamma=0.5, class_cost={0: 1.0, 1: 19.0})
         )
-        report_u = m.evaluate(list(m.predict_all(uniform, X_ev)), list(y_ev))
-        report_w = m.evaluate(list(m.predict_all(weighted, X_ev)), list(y_ev))
+        report_u = m.evaluate(list(m.predict_all(uniform, csr(X_ev))), list(y_ev))
+        report_w = m.evaluate(list(m.predict_all(weighted, csr(X_ev))), list(y_ev))
         assert report_w.fnr < report_u.fnr
 
     def test_default_cost_is_inverse_frequency(self):
@@ -386,44 +471,45 @@ class TestTrainOnDataset:
         rng = np.random.default_rng(6)
         y = (rng.random(80) < 0.3).astype(int)
         X = np.column_stack([y.astype(float), rng.normal(size=80)])
-        model = m.fit_svm(X, y, m.SvmParams(C=10.0, gamma=1.0))
-        report = m.evaluate(list(m.predict_all(model, X)), list(y))
+        model = m.fit_svm(csr(X), y, m.SvmParams(C=10.0, gamma=1.0))
+        report = m.evaluate(list(m.predict_all(model, csr(X))), list(y))
         assert report.accuracy >= 0.99
 
 
 class TestSerialization:
     def test_round_trip_preserves_predictions(self):
-        model = m.fit_svm(TOY_X, TOY_Y, TOY_PARAMS)
+        model = m.fit_svm(csr(TOY_X), TOY_Y, TOY_PARAMS)
         model.feature_names = ("f0", "f1")
         restored = m.load_model(m.dump_model(model))
         assert restored.feature_names == ("f0", "f1")
-        assert list(m.predict_all(restored, TOY_X)) == list(TOY_Y)
-        assert m.decision_function(restored, TOY_X) == pytest.approx(
-            m.decision_function(model, TOY_X), abs=1e-15
+        assert list(m.predict_all(restored, csr(TOY_X))) == list(TOY_Y)
+        assert m.decision_function(restored, csr(TOY_X)) == pytest.approx(
+            m.decision_function(model, csr(TOY_X)), abs=1e-15
         )
 
     def test_round_trip_sparse_support_vectors(self):
         rng = np.random.default_rng(31)
         X = sparse_like(rng, 60, 25, density=0.2)
         y = (X[:, :5].sum(axis=1) + 0.1 * rng.random(60) > 0.5).astype(int)
-        model = m.fit_svm(X, y, m.SvmParams(C=1.0, seed=3))
+        model = m.fit_svm(csr(X), y, m.SvmParams(C=1.0, seed=3))
         obj = json.loads(m.dump_model(model))
         assert "support_vectors" not in obj
-        assert len(obj["sv_values"]) == np.count_nonzero(model.support_vectors)
+        assert len(obj["sv_values"]) == np.count_nonzero(dense(model.support_vectors))
         restored = m.load_model(m.dump_model(model))
-        assert np.array_equal(restored.support_vectors, model.support_vectors)
-        assert np.array_equal(m.decision_function(restored, X), m.decision_function(model, X))
+        assert np.array_equal(dense(restored.support_vectors), dense(model.support_vectors))
+        assert np.array_equal(m.decision_function(restored, csr(X)),
+                              m.decision_function(model, csr(X)))
         assert (restored.kkt_gap, restored.n_iterations) == (model.kkt_gap, model.n_iterations)
 
     def test_version_check(self):
-        obj = json.loads(m.dump_model(m.fit_svm(TOY_X, TOY_Y, TOY_PARAMS)))
+        obj = json.loads(m.dump_model(m.fit_svm(csr(TOY_X), TOY_Y, TOY_PARAMS)))
         obj["version"] = 99
         with pytest.raises(ValueError, match="version"):
             m.load_model(json.dumps(obj))
 
     def test_zero_alpha_model_is_constant(self):
         empty = m.TrainedModel(
-            support_vectors=np.zeros((0, 2)),
+            support_vectors=csr(np.zeros((0, 2))),
             sv_labels=np.zeros(0),
             alphas=np.zeros(0),
             bias=-0.5,
@@ -432,4 +518,4 @@ class TestSerialization:
             n_iterations=0,
         )
         restored = m.load_model(m.dump_model(empty))
-        assert list(m.predict_all(restored, np.array([[3.0, -2.0], [0.0, 0.0]]))) == [0, 0]
+        assert list(m.predict_all(restored, csr([[3.0, -2.0], [0.0, 0.0]]))) == [0, 0]
