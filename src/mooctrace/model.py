@@ -98,7 +98,7 @@ def _lowest_near_max(values: np.ndarray) -> int:
     which any change in the summation order of the kernel values can flip.
     """
     top = values.max()
-    return int(np.argmax(values >= top - _TIE * max(1.0, abs(top))))
+    return int((values >= top - _TIE * max(1.0, abs(top))).argmax())
 
 
 def _index_sets(y: np.ndarray, alpha: np.ndarray, C: np.ndarray):
