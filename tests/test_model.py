@@ -122,9 +122,9 @@ class TestSparseKernel:
         rng = np.random.default_rng(seed)
         n_cols = 60
         text, X = sparse_text(rng, 120, n_cols)
-        X_test_text, X_test = sparse_text(rng, 2 * m._ROW_BLOCK + 3, n_cols)
+        test_text, X_test = sparse_text(rng, 2 * m._ROW_BLOCK + 3, n_cols)
         train, y = ft.read_sparse(text, n_cols)
-        test, _ = ft.read_sparse(X_test_text, n_cols)
+        test, _ = ft.read_sparse(test_text, n_cols)
         assert np.array_equal(dense(train), X) and np.all(train.data != 0)
         assert len(train.indices) < len(text.split(":")) - 1  # the explicit zeros are gone
         model = m.fit_svm(train, y, m.SvmParams(C=2.0, seed=seed))
