@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mooctrace import actgraph, features as ft, model as svm, synth
+from mooctrace import actgraph, cli, features as ft, model as svm, synth
 from mooctrace.events import ActivityToken as T
 from mooctrace.events import (
     Event,
@@ -300,3 +300,48 @@ def test_criterion_8_pipeline_determinism(tmp_path):
         joined_dots = b"".join((report / "dot" / name).read_bytes() for name in dots)
         assert _sha256((report / "graph_metrics.csv").read_bytes()) == _METRICS_SHA256
         assert _sha256(joined_dots) == _DOTS_SHA256
+
+
+# The featurize artifacts of criterion 8's events (120 students, seed 11),
+# Curr setup, for each model family. The key and sequence files do not
+# depend on the family.
+_FEATURIZE_SHA256 = {
+    "baseline": {
+        "train.txt": "e6f52482a997214379be7571c83a15dbbb66dae7e1386577cd8052bc9131189d",
+        "test.txt": "7f4e1d7335f079e93644525f98815ea30ea6e6b2ed3978afcfeedd6b5575dadd",
+        "features.json": "c132cb688fb8b4a5d291b9dde36e8c77361a790803e7713c7f9453bdd9d2b7b4",
+    },
+    "graph": {
+        "train.txt": "e87d8f2b888f0a9e7f6edadc0924134dfd5290572aab385a5154dfd077531d6d",
+        "test.txt": "5c863940e27523d7bb6b96501e2cba93bd56eaaf02eb12fac039bf704a089d1d",
+        "features.json": "c2e19af55a0490297c4fc60422e21bf1dc194e759b4989d1e882d395acc2195e",
+    },
+    "combined": {
+        "train.txt": "64ba4706b4b2df3da540c54614753ffbcd86037ce0f2d348eb091be227aa58b4",
+        "test.txt": "4202f1185adac7e8ffe19f089e4c67824e9f42e847e2629a5c475f92cd8b96a8",
+        "features.json": "1a13d4378b1a837b19238cf939ee666850d5d389663a337e024e59f937cebede",
+    },
+}
+_KEYS_AND_SEQUENCES_SHA256 = {
+    "train_keys.jsonl": "0fd2e5e79969f34f7503c0d40520b3150514a4d715b9702c2cccfaa62cf62622",
+    "test_keys.jsonl": "a0ef23a41ffb126bf56ecfdb8765ec2721a73870fa3a450224e41aa94f019110",
+    "sequences.jsonl": "90c9f36e61a5cf1f8a02b725dfa7edbf29a42337f9142ac792dde200c9907402",
+}
+
+
+@pytest.fixture(scope="module")
+def snippet_events(tmp_path_factory):
+    base = tmp_path_factory.mktemp("snippet")
+    assert cli.main(["synth", "--out-dir", str(base), "--students", "120", "--weeks", "4",
+                     "--signal", "0.8", "--seed", "11"]) == 0
+    assert cli.main(["ingest", "--clicks", str(base / "clickstream.jsonl"),
+                     "--forum", str(base / "forum.jsonl"), "--out-dir", str(base)]) == 0
+    return base / "events.jsonl"
+
+
+@pytest.mark.parametrize("family", sorted(_FEATURIZE_SHA256))
+def test_featurize_artifacts_pinned(tmp_path, snippet_events, family):
+    assert cli.main(["featurize", "--events", str(snippet_events), "--out-dir", str(tmp_path),
+                     "--setup", "curr", "--model", family]) == 0
+    expected = {**_FEATURIZE_SHA256[family], **_KEYS_AND_SEQUENCES_SHA256}
+    assert {name: _sha256((tmp_path / name).read_bytes()) for name in expected} == expected
