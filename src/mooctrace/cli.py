@@ -65,15 +65,16 @@ class PipelineConfig:
     course_start: float | None = None
     min_unique_viewers: int = 10
     setup: Setup = Setup.CURR
-    model_family: ModelFamily = ModelFamily.GRAPH
+    model: ModelFamily = ModelFamily.GRAPH
     rare_threshold: int = 4
     test_id_min: int = 798619
     test_id_max: int = 1882807
-    seed: int = 0
-    svm_c: float = 1.0
+    # None leaves the SvmParams default.
+    seed: int | None = None
+    svm_c: float | None = None
     svm_gamma: float | None = None
-    svm_tolerance: float = 1e-3
-    svm_max_iter: int = 10000
+    svm_tolerance: float | None = None
+    svm_max_iter: int | None = None
     cost0: float | None = None
     cost1: float | None = None
 
@@ -83,18 +84,19 @@ class PipelineConfig:
         if (self.cost0 is None) != (self.cost1 is None):
             raise CommandError(EXIT_BAD_INPUT, "cost0 and cost1 go together")
         class_cost = None if self.cost0 is None else {0: self.cost0, 1: self.cost1}
-        return svm.SvmParams(
-            C=self.svm_c,
-            gamma=self.svm_gamma,
-            class_cost=class_cost,
-            tolerance=self.svm_tolerance,
-            max_iter=self.svm_max_iter,
-            seed=self.seed,
-        )
+        values = {
+            "C": self.svm_c,
+            "gamma": self.svm_gamma,
+            "class_cost": class_cost,
+            "tolerance": self.svm_tolerance,
+            "max_iter": self.svm_max_iter,
+            "seed": self.seed,
+        }
+        return svm.SvmParams(**{k: v for k, v in values.items() if v is not None})
 
 
 def load_config_file(path: str) -> dict[str, object]:
-    """Flat key=value lines cast by _CONFIG_CASTS ("model" as model_family); '#' comments."""
+    """Flat key=value lines cast by _CONFIG_CASTS; '#' comments."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -107,7 +109,7 @@ def load_config_file(path: str) -> dict[str, object]:
         if "=" not in line:
             raise CommandError(EXIT_BAD_INPUT, f"{path} line {number}: not key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        cast = _CONFIG_CASTS.get("model_family" if key == "model" else key)
+        cast = _CONFIG_CASTS.get(key)
         if cast is None:
             raise CommandError(EXIT_BAD_INPUT, f"{path} line {number}: unknown key {key!r}")
         try:
@@ -121,7 +123,7 @@ _CONFIG_CASTS = {
     "course_start": float,
     "min_unique_viewers": int,
     "setup": Setup,
-    "model_family": ModelFamily,
+    "model": ModelFamily,
     "rare_threshold": int,
     "test_id_min": int,
     "test_id_max": int,
@@ -138,8 +140,6 @@ _CONFIG_CASTS = {
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig()
     file_values = load_config_file(args.config) if args.config else {}
-    if "model" in file_values:  # config key mirrors the --model flag
-        file_values.setdefault("model_family", file_values.pop("model"))
     for key, cast in _CONFIG_CASTS.items():
         if key in file_values:
             setattr(cfg, key, file_values[key])
@@ -248,29 +248,31 @@ def cmd_featurize(args: argparse.Namespace) -> int:
         raise CommandError(EXIT_EMPTY_EVENTS, "event store is empty")
 
     sequences = _build_sequences(events, cfg)
-    train, test = features.build_model_datasets(
-        sequences, cfg.model_family, (cfg.test_id_min, cfg.test_id_max), cfg.rare_threshold
+    train, test = features.assemble_dataset(
+        sequences, cfg.model, (cfg.test_id_min, cfg.test_id_max)
     )
+    index, train, test = features.finalize_split(train, test, cfg.rare_threshold)
 
     out = Path(args.out_dir)
-    write_text_atomic(out / "train.txt", features.export_sparse(train))
-    write_text_atomic(out / "test.txt", features.export_sparse(test))
-    write_text_atomic(
-        out / "features.json",
-        json.dumps(train.feature_index, sort_keys=True, indent=0) + "\n",
-    )
-    for name, ds in (("train", train), ("test", test)):
+    write_text_atomic(out / "train.txt", features.export_sparse(train, index))
+    write_text_atomic(out / "test.txt", features.export_sparse(test, index))
+    write_text_atomic(out / "features.json", json.dumps(index, sort_keys=True, indent=0) + "\n")
+    splits = {"train": train, "test": test}
+    for name, rows in splits.items():
         write_jsonl_atomic(
             out / f"{name}_keys.jsonl",
-            (dict(zip(("sid", "courseweek"), fv.instance_id)) for fv in ds.instances),
+            (dict(zip(("sid", "courseweek"), fv.instance_id)) for fv in rows),
         )
     write_text_atomic(
         out / "sequences.jsonl", sequences_to_jsonl(sequences[k] for k in sorted(sequences))
     )
     print(
-        f"featurize: {len(train.instances)} train / {len(test.instances)} test instances, "
-        f"{len(train.feature_index)} features ({cfg.setup.value}/{cfg.model_family.value})"
+        f"featurize: {len(train)} train / {len(test)} test instances, "
+        f"{len(index)} features ({cfg.setup.value}/{cfg.model.value})"
     )
+    for name, rows in splits.items():
+        if not rows:
+            print(json.dumps({"warning": f"{name} split is empty"}), file=sys.stderr)
     return 0
 
 
@@ -506,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--course-start", dest="course_start", type=float)
     p.add_argument("--setup", choices=[s.value for s in Setup])
-    p.add_argument("--model", dest="model_family", choices=[m.value for m in ModelFamily])
+    p.add_argument("--model", choices=[m.value for m in ModelFamily])
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train the cost-sensitive RBF SVM")

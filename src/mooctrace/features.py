@@ -5,20 +5,21 @@ families share the control variables: Baseline carries n-grams plus
 active/passive proportions, Graph carries structural graph metrics,
 Combined is their union.
 
-assemble_dataset builds the raw feature rows; finalize_split makes them
-model-ready in one pass. It fits the dichotomizers and min-max scalers on the
-training instances only, then transforms each training row once, counts
-feature support over those rows, keeps the controls and the names that meet
-the rare threshold, and projects every train and test row onto that index as
-it builds it. export_sparse writes the finalized rows as `label idx:val` text,
-and read_sparse parses that text into a Csr matrix, the one matrix type of
+assemble_dataset builds the raw feature rows as plain train and test lists,
+putting each row on its side by student id as it builds it; finalize_split
+makes them model-ready in one pass. It fits one table of dichotomizers and
+min-max scalers, the same for every family, on the training rows only, then
+transforms each training row once, counts feature support over those rows,
+keeps the controls and the names that meet the rare threshold, and projects
+every train and test row onto that index as it builds it. export_sparse
+writes finalized rows against the index as `label idx:val` text, and
+read_sparse parses that text into a Csr matrix, the one matrix type of
 training, prediction and model.json; RowDots computes dot products against
 the rows of one.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -67,13 +68,6 @@ class FeatureVector:
     instance_id: tuple[int, int]  # (student_id, courseweek)
     features: dict[str, float]    # sparse: absent means 0.0
     label: int
-
-
-@dataclass(frozen=True)
-class Dataset:
-    instances: list[FeatureVector]
-    model_family: ModelFamily
-    feature_index: dict[str, int] | None = None
 
 
 def ngram_features(tokens) -> dict[str, int]:
@@ -182,80 +176,68 @@ def dropout_labels(keys) -> dict[tuple[int, int], int]:
 
 
 def assemble_dataset(
-    sequences: dict[tuple[int, int], FootprintSequence], model_family: ModelFamily
-) -> Dataset:
-    """Build labeled instances with raw (pre-transform) feature values.
+    sequences: dict[tuple[int, int], FootprintSequence],
+    model_family: ModelFamily,
+    test_id_range: tuple[int, int],
+) -> tuple[list[FeatureVector], list[FeatureVector]]:
+    """Labeled instances with raw (pre-transform) feature values, as (train, test).
 
-    The dropout label is 1 exactly on each student's last participation
-    week. Dichotomization and scaling happen later, once a train split
-    exists to fit them on (see finalize_split).
+    Students with id inside test_id_range, (min, max) inclusive, form the test
+    split. The dropout label is 1 exactly on each student's last
+    participation week. Dichotomization and scaling happen later, fitted on
+    the train split (see finalize_split).
     """
+    test_id_min, test_id_max = test_id_range
+    if test_id_min > test_id_max:
+        raise ValueError("test_id_min must be <= test_id_max")
     labels = dropout_labels(sequences)
-    instances = [
-        FeatureVector(
+    train, test = [], []
+    for sid, week in sorted(sequences):
+        fv = FeatureVector(
             (sid, week),
             _instance_features(sequences[(sid, week)], model_family),
             labels[(sid, week)],
         )
-        for sid, week in sorted(sequences)
-    ]
-    return Dataset(instances, model_family)
-
-
-def split_by_student(
-    dataset: Dataset, test_id_min: int, test_id_max: int
-) -> tuple[Dataset, Dataset]:
-    """Held-out split: students with id inside [min, max] form the test set."""
-    if test_id_min > test_id_max:
-        raise ValueError("test_id_min must be <= test_id_max")
-    train, test = [], []
-    for fv in dataset.instances:
-        sid = fv.instance_id[0]
         (test if test_id_min <= sid <= test_id_max else train).append(fv)
+    return train, test
+
+
+# How finalize_split maps each raw value: dichotomized by the named strategy,
+# or min-max scaled (None). Every other name keeps its value. A name that no
+# row of a family carries gets a map that is never applied.
+_TRANSFORMS = {
+    **dict.fromkeys(PROP_FEATURES, "equal_width"),
+    **dict.fromkeys(GRAPH_EQ_FREQ, "equal_frequency"),
+    **dict.fromkeys(CTL_SCALED + GRAPH_SCALED),
+}
+
+
+def _fit_value_maps(train: list[FeatureVector]) -> dict[str, Callable[[float], float]]:
+    """The _TRANSFORMS dichotomizers and min-max scalers fitted on train, by name."""
     if not train:
-        warnings.warn("train split is empty", stacklevel=2)
-    if not test:
-        warnings.warn("test split is empty", stacklevel=2)
-    return Dataset(train, dataset.model_family), Dataset(test, dataset.model_family)
-
-
-def _fit_value_maps(train: Dataset) -> dict[str, Callable[[float], float]]:
-    """Per-family dichotomizers and min-max scalers fitted on train, by name."""
-    family = train.model_family
-    if not train.instances:
         return {}
-
-    def values(name: str) -> list[float]:
-        return [fv.features.get(name, 0.0) for fv in train.instances]
-
-    def dichotomizer(name: str, strategy: str) -> Callable[[float], float]:
-        split = Dichotomizer.fit(values(name), strategy)
-        return lambda v: float(split.apply(v))
-
-    def scaler(name: str) -> Callable[[float], float]:
-        vals = values(name)
-        lo, hi = min(vals), max(vals)
-        return lambda v: (v - lo) / (hi - lo) if hi > lo else 0.0
-
     maps = {}
-    if family in (ModelFamily.BASELINE, ModelFamily.COMBINED):
-        maps.update((name, dichotomizer(name, "equal_width")) for name in PROP_FEATURES)
-    if family in (ModelFamily.GRAPH, ModelFamily.COMBINED):
-        maps.update((name, dichotomizer(name, "equal_frequency")) for name in GRAPH_EQ_FREQ)
-    scaled = CTL_SCALED + (GRAPH_SCALED if family != ModelFamily.BASELINE else ())
-    maps.update((name, scaler(name)) for name in scaled)
+    for name, strategy in _TRANSFORMS.items():
+        values = [fv.features.get(name, 0.0) for fv in train]
+        if strategy is not None:
+            split = Dichotomizer.fit(values, strategy)
+            maps[name] = lambda v, split=split: float(split.apply(v))
+        else:
+            lo, hi = min(values), max(values)
+            maps[name] = lambda v, lo=lo, hi=hi: (v - lo) / (hi - lo) if hi > lo else 0.0
     return maps
 
 
 def finalize_split(
-    train: Dataset, test: Dataset, rare_threshold: int = 4
-) -> tuple[Dataset, Dataset]:
+    train: list[FeatureVector], test: list[FeatureVector], rare_threshold: int = 4
+) -> tuple[dict[str, int], list[FeatureVector], list[FeatureVector]]:
     """Transform both splits with train-fitted maps and project them onto one index.
 
-    Dichotomizers and scalers are fitted on train only. A feature is kept
-    when it is a control ("ctl:") or nonzero in at least `rare_threshold`
-    transformed training instances; the index numbers the kept names in
-    sorted order. Finalized rows hold only indexed nonzero values.
+    Returns (index, train, test). Dichotomizers and scalers are fitted on
+    train only. A feature is kept when it is a control ("ctl:") or nonzero in
+    at least `rare_threshold` transformed training instances; the index
+    numbers the kept names in sorted order. Finalized rows hold only indexed
+    nonzero values.
     """
     if rare_threshold < 0:
         raise ValueError("threshold must be >= 0")
@@ -270,13 +252,13 @@ def finalize_split(
                 row[name] = value
         return row
 
-    train_rows = [transform(fv.features) for fv in train.instances]
+    train_rows = [transform(fv.features) for fv in train]
     support = Counter(name for row in train_rows for name in row)
     kept = (n for n, k in support.items() if n.startswith("ctl:") or k >= rare_threshold)
     index = {name: i for i, name in enumerate(sorted(kept))}
     train_out = [
         FeatureVector(fv.instance_id, {n: v for n, v in row.items() if n in index}, fv.label)
-        for fv, row in zip(train.instances, train_rows)
+        for fv, row in zip(train, train_rows)
     ]
     test_out = [
         FeatureVector(
@@ -284,33 +266,15 @@ def finalize_split(
             {n: v for n, v in transform(fv.features).items() if n in index},
             fv.label,
         )
-        for fv in test.instances
+        for fv in test
     ]
-    return (
-        Dataset(train_out, train.model_family, index),
-        Dataset(test_out, test.model_family, index),
-    )
+    return index, train_out, test_out
 
 
-def build_model_datasets(
-    sequences,
-    model_family: ModelFamily,
-    test_id_range: tuple[int, int],
-    rare_threshold: int = 4,
-) -> tuple[Dataset, Dataset]:
-    """Full featurization: assemble, split by student, fit-and-apply."""
-    dataset = assemble_dataset(sequences, model_family)
-    train, test = split_by_student(dataset, *test_id_range)
-    return finalize_split(train, test, rare_threshold)
-
-
-def export_sparse(dataset: Dataset) -> str:
+def export_sparse(instances: list[FeatureVector], index: dict[str, int]) -> str:
     """One instance per line: `label idx:val ...` with ascending indices."""
-    if dataset.feature_index is None:
-        raise ValueError("dataset has no feature index; finalize it first")
-    index = dataset.feature_index
     lines = []
-    for fv in dataset.instances:
+    for fv in instances:
         cols = sorted((index[n], v) for n, v in fv.features.items())
         parts = [str(fv.label)] + [f"{i}:{v!r}" for i, v in cols]
         lines.append(" ".join(parts))

@@ -369,25 +369,16 @@ def _conditional_entropy(column: Iterable[Hashable], labels: Sequence[int]) -> f
     )
 
 
-def interaction_gain(
-    feat_a: Sequence[Hashable], feat_b: Sequence[Hashable], labels: Sequence[int]
-) -> float:
-    """Extra class entropy removed by two features jointly, as a fraction.
-
-    [Gain(AxB) - Gain(A) - Gain(B)] / H(class), entropies in bits. Positive
-    values mean synergy, negative redundancy; 0 when the class is constant.
-    """
-    ((_, _, gain),) = interaction_gain_ranking({"a": feat_a, "b": feat_b}, labels)
-    return gain
-
-
 def interaction_gain_ranking(
     columns: dict[str, Sequence[Hashable]], labels: Sequence[int]
 ) -> list[tuple[str, str, float]]:
-    """interaction_gain of every pair of columns, ranked descending.
+    """The interaction gain of every pair of columns, ranked descending.
 
-    H(class) and each column's gain are computed once; only the joint
-    entropy is computed per pair.
+    A pair's gain is the extra class entropy it removes jointly, as a
+    fraction: [Gain(AxB) - Gain(A) - Gain(B)] / H(class), entropies in bits.
+    Positive values mean synergy, negative redundancy; 0 when the class is
+    constant. H(class) and each column's gain are computed once; only the
+    joint entropy is computed per pair.
     """
     if any(len(column) != len(labels) for column in columns.values()):
         raise ValueError("columns and labels differ in length")

@@ -167,8 +167,10 @@ def test_criterion_6_interaction_gain():
         a = [0, 0, 1, 1] * 50
         b = [0, 1, 0, 1] * 50
         xor_labels = [x ^ y for x, y in zip(a, b)]
-        assert abs(svm.interaction_gain(a, b, xor_labels) - 1.0) <= 1e-9
-        assert abs(svm.interaction_gain(a, a, list(a)) - (-1.0)) <= 1e-9
+        ((_, _, synergy),) = svm.interaction_gain_ranking({"a": a, "b": b}, xor_labels)
+        ((_, _, redundancy),) = svm.interaction_gain_ranking({"a": a, "b": a}, list(a))
+        assert abs(synergy - 1.0) <= 1e-9
+        assert abs(redundancy - (-1.0)) <= 1e-9
 
 
 def _run_pipeline(signal, seed=7, n_students=1000):
@@ -183,13 +185,14 @@ def _run_pipeline(signal, seed=7, n_students=1000):
     )
     assert diags_c == [] and diags_f == []
     events, _ = encode_events(filter_valid_videos(raw_c, 10), raw_f)
-    train, test = ft.build_model_datasets(
-        build_curr_sequences(events), ft.ModelFamily.GRAPH, (798619, 1882807), 4
+    index, train, test = ft.finalize_split(
+        *ft.assemble_dataset(build_curr_sequences(events), ft.ModelFamily.GRAPH,
+                             (798619, 1882807)),
+        4,
     )
-    n_features = len(train.feature_index)
-    X, y = ft.read_sparse(ft.export_sparse(train), n_features)
+    X, y = ft.read_sparse(ft.export_sparse(train, index), len(index))
     model = svm.fit_svm(X, y, svm.SvmParams(seed=seed))
-    X_test, y_test = ft.read_sparse(ft.export_sparse(test), n_features)
+    X_test, y_test = ft.read_sparse(ft.export_sparse(test, index), len(index))
     predictions = list(svm.predict_all(model, X_test))
     return predictions, list(y_test)
 

@@ -140,6 +140,23 @@ class TestFeaturizeCommand:
         code = run("featurize", "--events", empty, "--out-dir", tmp_path / "o")
         assert code == cli.EXIT_EMPTY_EVENTS
 
+    def test_empty_test_warns(self, tmp_path, capsys, recwarn):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"sid": 5, "t": 100.0, "token": "PL"}\n')
+        assert run("featurize", "--events", events, "--out-dir", tmp_path / "f",
+                   "--test-id-min", 100, "--test-id-max", 200) == 0
+        assert capsys.readouterr().err == '{"warning": "test split is empty"}\n'
+        assert (tmp_path / "f" / "test.txt").read_text() == ""
+        assert not recwarn.list
+
+    def test_empty_train_warns(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"sid": 5, "t": 100.0, "token": "PL"}\n')
+        assert run("featurize", "--events", events, "--out-dir", tmp_path / "f",
+                   "--test-id-min", 0, "--test-id-max", 200) == 0
+        assert capsys.readouterr().err == '{"warning": "train split is empty"}\n'
+        assert (tmp_path / "f" / "features.json").read_text() == "{}\n"
+
     def test_instance_count_matches_active_student_weeks(self, events_dir, featurized_dir):
         from mooctrace.footprint import build_curr_sequences
 
@@ -221,7 +238,7 @@ class TestFeaturizeCommand:
         assert run("featurize", "--events", events_dir / "events.jsonl",
                    "--out-dir", out, "--config", config) == 0
         assert any(name.startswith("ng:") for name in
-                   json.loads((out / "features.json").read_text()))  # the model alias
+                   json.loads((out / "features.json").read_text()))  # model=baseline
 
     def test_missing_config_exit_2(self, tmp_path, events_dir, capsys):
         missing = tmp_path / "missing.cfg"
@@ -247,6 +264,7 @@ class TestFeaturizeCommand:
         ("setup=weekly", "setup: 'weekly' is not a valid Setup"),
         ("svm_c=x", "svm_c: could not convert string to float: 'x'"),
         ("svm_c", "not key=value: 'svm_c'"),
+        ("model_family=baseline", "unknown key 'model_family'"),  # the key is `model`
     ])
     def test_bad_config_value_exit_2(self, tmp_path, events_dir, capsys, line, message):
         config = tmp_path / "run.cfg"
@@ -570,9 +588,9 @@ class TestTrainEvalCommands:
             '{"sid": 1, "t": 100.0, "token": "PL"}\n{"sid": 2, "t": 200.0, "token": "Vf"}\n'
         )
         out = tmp_path / "f"
-        with pytest.warns(UserWarning, match="test split is empty"):
-            assert run("featurize", "--events", events, "--out-dir", out,
-                       "--rare-threshold", 0) == 0
+        assert run("featurize", "--events", events, "--out-dir", out,
+                   "--rare-threshold", 0) == 0
+        assert capsys.readouterr().err == '{"warning": "test split is empty"}\n'
         code = run("train", "--train", out / "train.txt",
                    "--features", out / "features.json", "--out", tmp_path / "m.json")
         assert code == cli.EXIT_SINGLE_CLASS

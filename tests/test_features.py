@@ -111,21 +111,28 @@ THREE_WEEK_LAYOUT = {
     1: {1: [T.PL, T.PA], 2: [T.PL, T.Vf], 3: [T.Vt, T.Po, T.Vt]},
     2: {2: [T.Vt, T.Vt, T.Po]},
 }
+TEST_IDS = (798619, 1882807)
+
+
+def assemble_all(sequences, family):
+    """Every assembled instance: the train split, then the test split."""
+    train, test = ft.assemble_dataset(sequences, family, TEST_IDS)
+    return train + test
 
 
 class TestSequenceLength:
     @pytest.mark.parametrize("tokens,expected", [(MIXED_WEEK_SEQ, 7), ([T.PL], 1)])
     def test_lengths(self, tokens, expected):
         curr, tcurr = build_sequences({1: {1: tokens}})
-        ds = ft.assemble_dataset(curr, ft.ModelFamily.GRAPH)
-        assert ds.instances[0].features["ctl:seq_length"] == expected
+        instances = assemble_all(curr, ft.ModelFamily.GRAPH)
+        assert instances[0].features["ctl:seq_length"] == expected
 
 
 class TestAssembleDataset:
     def test_labels_mark_last_participation_week(self):
         curr, tcurr = build_sequences(THREE_WEEK_LAYOUT)
-        ds = ft.assemble_dataset(curr, ft.ModelFamily.BASELINE)
-        labels = {fv.instance_id: fv.label for fv in ds.instances}
+        instances = assemble_all(curr, ft.ModelFamily.BASELINE)
+        labels = {fv.instance_id: fv.label for fv in instances}
         assert labels == {(1, 1): 0, (1, 2): 0, (1, 3): 1, (2, 2): 1}
 
     def test_dropout_labels_any_key_order(self):
@@ -134,17 +141,15 @@ class TestAssembleDataset:
 
     def test_exactly_one_positive_per_student(self):
         curr, tcurr = build_sequences(THREE_WEEK_LAYOUT)
-        ds = ft.assemble_dataset(tcurr, ft.ModelFamily.GRAPH)
         per_student = {}
-        for fv in ds.instances:
+        for fv in assemble_all(tcurr, ft.ModelFamily.GRAPH):
             sid = fv.instance_id[0]
             per_student[sid] = per_student.get(sid, 0) + fv.label
         assert all(v == 1 for v in per_student.values())
 
     def test_controls_present(self):
         curr, tcurr = build_sequences(THREE_WEEK_LAYOUT)
-        ds = ft.assemble_dataset(curr, ft.ModelFamily.GRAPH)
-        fv = ds.instances[0]  # student 1, week 1: PL PA
+        fv = assemble_all(curr, ft.ModelFamily.GRAPH)[0]  # student 1, week 1: PL PA
         assert fv.features["ctl:courseweek"] == 1.0
         assert fv.features["ctl:userweek"] == 1.0
         assert fv.features["ctl:seq_length"] == 2.0
@@ -152,8 +157,7 @@ class TestAssembleDataset:
 
     def test_graph_family_features(self):
         curr, tcurr = build_sequences({1: {1: [T.Vt, T.Po, T.Vt, T.Po, T.Po]}})
-        ds = ft.assemble_dataset(curr, ft.ModelFamily.GRAPH)
-        feats = ds.instances[0].features
+        feats = assemble_all(curr, ft.ModelFamily.GRAPH)[0].features
         assert feats["graph:num_nodes"] == 2.0
         assert feats["graph:num_edges"] == 4.0
         assert feats["graph:density"] == 2.0
@@ -168,8 +172,7 @@ class TestAssembleDataset:
         curr, tcurr = build_sequences(THREE_WEEK_LAYOUT)
         names = {}
         for family in ft.ModelFamily:
-            ds = ft.assemble_dataset(curr, family)
-            names[family] = set().union(*(fv.features for fv in ds.instances))
+            names[family] = set().union(*(fv.features for fv in assemble_all(curr, family)))
         assert names[ft.ModelFamily.COMBINED] == (
             names[ft.ModelFamily.BASELINE] | names[ft.ModelFamily.GRAPH]
         )
@@ -180,17 +183,14 @@ class TestSplitByStudent:
         curr, tcurr = build_sequences(
             {5: {1: [T.PL]}, 800000: {1: [T.PA], 2: [T.Vt]}}
         )
-        ds = ft.assemble_dataset(curr, ft.ModelFamily.BASELINE)
-        train, test = ft.split_by_student(ds, 798619, 1882807)
-        assert {fv.instance_id[0] for fv in train.instances} == {5}
-        assert {fv.instance_id[0] for fv in test.instances} == {800000}
+        train, test = ft.assemble_dataset(curr, ft.ModelFamily.BASELINE, TEST_IDS)
+        assert {fv.instance_id[0] for fv in train} == {5}
+        assert {fv.instance_id[0] for fv in test} == {800000}
 
-    def test_empty_test_warns(self):
+    def test_inverted_range_rejected(self):
         curr, tcurr = build_sequences({5: {1: [T.PL]}})
-        ds = ft.assemble_dataset(curr, ft.ModelFamily.BASELINE)
-        with pytest.warns(UserWarning, match="test split is empty"):
-            _, test = ft.split_by_student(ds, 100, 200)
-        assert test.instances == []
+        with pytest.raises(ValueError, match="test_id_min must be <= test_id_max"):
+            ft.assemble_dataset(curr, ft.ModelFamily.BASELINE, (200, 100))
 
     def test_students_never_span_sides(self):
         rng = random.Random(17)
@@ -199,11 +199,10 @@ class TestSplitByStudent:
             for sid in rng.sample(range(1, 2_000_000), 30)
         }
         curr, tcurr = build_sequences(layout)
-        ds = ft.assemble_dataset(curr, ft.ModelFamily.BASELINE)
         lo, hi = 500_000, 1_500_000
-        train, test = ft.split_by_student(ds, lo, hi)
-        train_ids = {fv.instance_id[0] for fv in train.instances}
-        test_ids = {fv.instance_id[0] for fv in test.instances}
+        train, test = ft.assemble_dataset(curr, ft.ModelFamily.BASELINE, (lo, hi))
+        train_ids = {fv.instance_id[0] for fv in train}
+        test_ids = {fv.instance_id[0] for fv in test}
         assert not train_ids & test_ids
         assert all(lo <= sid <= hi for sid in test_ids)
 
@@ -223,39 +222,38 @@ class TestRareThreshold:
                 if row < support:
                     feats[f"ng:f{k}"] = 1.0
             instances.append(ft.FeatureVector((row, 1), feats, row % 2))
-        make = lambda inst: ft.Dataset(inst, ft.ModelFamily.BASELINE)
-        train, test = ft.finalize_split(make(instances), make([]), threshold)
-        assert test.instances == [] and test.feature_index == train.feature_index
-        return instances, train
+        index, train, test = ft.finalize_split(instances, [], threshold)
+        assert test == []
+        return instances, index, train
 
     def test_support_threshold(self):
-        _, train = self.finalized_train(list(range(1, 11)), 4)
-        ng = [n for n in train.feature_index if n.startswith("ng:")]
+        _, index, train = self.finalized_train(list(range(1, 11)), 4)
+        ng = [n for n in index if n.startswith("ng:")]
         assert ng == [f"ng:f{k}" for k in range(3, 10)]  # supports 4..10 survive
-        assert train.feature_index["ctl:courseweek"] == 0
-        for fv in train.instances:
-            assert set(fv.features) <= set(train.feature_index)
+        assert index["ctl:courseweek"] == 0
+        for fv in train:
+            assert set(fv.features) <= set(index)
 
     def test_threshold_zero_is_identity(self):
-        raw, train = self.finalized_train([1, 2, 3], 0)
-        assert train.feature_index == {
+        raw, index, train = self.finalized_train([1, 2, 3], 0)
+        assert index == {
             "ctl:courseweek": 0, "ng:f0": 1, "ng:f1": 2, "ng:f2": 3,
         }
-        for before, after in zip(raw, train.instances):
+        for before, after in zip(raw, train):
             assert {n: v for n, v in after.features.items() if n.startswith("ng:")} == {
                 n: v for n, v in before.features.items() if n.startswith("ng:")
             }
 
     def test_below_threshold_dropped_from_instances(self):
-        _, train = self.finalized_train([3, 5], 4)
-        assert "ng:f0" not in train.feature_index
-        assert all("ng:f0" not in fv.features for fv in train.instances)
-        assert sum("ng:f1" in fv.features for fv in train.instances) == 5
+        _, index, train = self.finalized_train([3, 5], 4)
+        assert "ng:f0" not in index
+        assert all("ng:f0" not in fv.features for fv in train)
+        assert sum("ng:f1" in fv.features for fv in train) == 5
 
     def test_controls_exempt(self):
-        _, train = self.finalized_train([10], 99)
-        assert train.feature_index == {"ctl:courseweek": 0}
-        assert [fv.features for fv in train.instances] == [{}] + [
+        _, index, train = self.finalized_train([10], 99)
+        assert index == {"ctl:courseweek": 0}
+        assert [fv.features for fv in train] == [{}] + [
             {"ctl:courseweek": row / 10} for row in range(1, 11)
         ]
 
@@ -269,49 +267,46 @@ class TestFinalizeSplit:
 
     def finalized(self, family=ft.ModelFamily.COMBINED):
         curr, _ = build_sequences(self.LAYOUT)
-        ds = ft.assemble_dataset(curr, family)
-        train, test = ft.split_by_student(ds, 798619, 1882807)
-        return ft.finalize_split(train, test, rare_threshold=0)
+        return ft.finalize_split(*ft.assemble_dataset(curr, family, TEST_IDS), rare_threshold=0)
 
     def test_shared_feature_index(self):
-        train, test = self.finalized()
-        assert train.feature_index == test.feature_index
-        assert list(train.feature_index.values()) == sorted(train.feature_index.values())
+        index, train, test = self.finalized()
+        assert list(index.values()) == list(range(len(index)))
+        assert list(index) == sorted(index)
+        for fv in train + test:
+            assert set(fv.features) <= set(index)
 
     def test_dichotomized_values_binary(self):
-        train, test = self.finalized()
-        for ds in (train, test):
-            for fv in ds.instances:
+        _, train, test = self.finalized()
+        for rows in (train, test):
+            for fv in rows:
                 for name in ft.PROP_FEATURES + ft.GRAPH_EQ_FREQ:
                     assert fv.features.get(name, 0.0) in (0.0, 1.0)
 
     def test_scaled_features_within_unit_interval_on_train(self):
-        train, _ = self.finalized()
-        for fv in train.instances:
+        _, train, _ = self.finalized()
+        for fv in train:
             for name in ft.CTL_SCALED + ft.GRAPH_SCALED:
                 assert 0.0 <= fv.features.get(name, 0.0) <= 1.0
 
     def test_thresholds_fit_on_train_only(self):
         # A test instance with extreme controls and new names changes nothing
         # that finalize_split fits, nor any other row.
-        train, test = self.finalized()
+        index, train, test = self.finalized()
         curr, tcurr = build_sequences({**self.LAYOUT, 900000: {40: [T.Po, T.FW] * 15}})
-        ds = ft.assemble_dataset(curr, ft.ModelFamily.COMBINED)
-        train_b, test_b = ft.finalize_split(
-            *ft.split_by_student(ds, 798619, 1882807), rare_threshold=0
+        index_b, train_b, test_b = ft.finalize_split(
+            *ft.assemble_dataset(curr, ft.ModelFamily.COMBINED, TEST_IDS), rare_threshold=0
         )
-        assert train_b.feature_index == train.feature_index
-        assert train_b.instances == train.instances
-        assert test_b.instances[: len(test.instances)] == test.instances
-        assert [fv.instance_id for fv in test_b.instances[len(test.instances) :]] == [
-            (900000, 40)
-        ]
+        assert index_b == index
+        assert train_b == train
+        assert test_b[: len(test)] == test
+        assert [fv.instance_id for fv in test_b[len(test) :]] == [(900000, 40)]
 
     def test_export_reproducible(self):
-        train_a, test_a = self.finalized()
-        train_b, test_b = self.finalized()
-        assert ft.export_sparse(train_a) == ft.export_sparse(train_b)
-        assert ft.export_sparse(test_a) == ft.export_sparse(test_b)
+        index_a, train_a, test_a = self.finalized()
+        index_b, train_b, test_b = self.finalized()
+        assert ft.export_sparse(train_a, index_a) == ft.export_sparse(train_b, index_b)
+        assert ft.export_sparse(test_a, index_a) == ft.export_sparse(test_b, index_b)
 
     CTL_NAMES = [
         "ctl:courseweek", "ctl:nominal=both", "ctl:nominal=forum_only",
@@ -352,27 +347,24 @@ class TestFinalizeSplit:
     def test_golden_export(self, family):
         # Every n-gram and the test-only FW features fall below support 2.
         curr, tcurr = build_sequences(self.LAYOUT)
-        ds = ft.assemble_dataset(curr, family)
-        train, test = ft.finalize_split(
-            *ft.split_by_student(ds, 798619, 1882807), rare_threshold=2
+        index, train, test = ft.finalize_split(
+            *ft.assemble_dataset(curr, family, TEST_IDS), rare_threshold=2
         )
         train_text, test_text, names = self.GOLDEN[family]
-        assert ft.export_sparse(train) == train_text
-        assert ft.export_sparse(test) == test_text
-        assert train.feature_index == {name: i for i, name in enumerate(names)}
-        assert test.feature_index == train.feature_index
+        assert ft.export_sparse(train, index) == train_text
+        assert ft.export_sparse(test, index) == test_text
+        assert index == {name: i for i, name in enumerate(names)}
 
 
 class TestMatrixRoundTrip:
     def test_sparse_export_parses_back(self):
         curr, tcurr = build_sequences(THREE_WEEK_LAYOUT)
-        ds = ft.assemble_dataset(curr, ft.ModelFamily.GRAPH)
-        train, test = ft.split_by_student(ds, 2, 2)
-        train, test = ft.finalize_split(train, test, rare_threshold=0)
-        index = train.feature_index
-        X, y = ft.read_sparse(ft.export_sparse(train), len(index))
-        assert list(y) == [fv.label for fv in train.instances]
-        for row, fv in zip(dense(X), train.instances):
+        index, train, test = ft.finalize_split(
+            *ft.assemble_dataset(curr, ft.ModelFamily.GRAPH, (2, 2)), rare_threshold=0
+        )
+        X, y = ft.read_sparse(ft.export_sparse(train, index), len(index))
+        assert list(y) == [fv.label for fv in train]
+        for row, fv in zip(dense(X), train):
             assert {name: row[col] for name, col in index.items() if row[col]} == fv.features
 
     @pytest.mark.parametrize("item", ["5:1.0", "-1:5.0", "x:1.0", "1:abc", "3", "1.5:2.0",
