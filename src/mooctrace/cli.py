@@ -2,13 +2,15 @@
 
 Configuration comes from an optional flat key=value file plus flags (flags
 win). Each command registers only the flags it reads, while a config file
-may set any pipeline key, so one file serves every command. Every command
-writes files atomically, exits nonzero on error, and puts a
-machine-readable JSON error on stderr.
+may set any pipeline key, so one file serves every command. Every text input
+is decoded as strict UTF-8 from its bytes; a file that cannot be read or
+decoded exits 2 naming its path. Every command writes files atomically,
+exits nonzero on error, and puts a machine-readable JSON error on stderr.
 
-Each command loads only what its own work needs. ``mooctrace.model``, and
-with it numpy, is imported inside train, eval and report, so synth, ingest
-and featurize never load numpy; only ``eval --model-file-b`` loads
+Each command loads only what its own work needs. ``mooctrace.model`` is the
+package's one numpy module. It is imported inside train, eval and report,
+and by ``features.read_sparse``, which only train and eval call, so synth,
+ingest and featurize never load numpy; only ``eval --model-file-b`` loads
 ``scipy.stats``. ``mooctrace.synth`` is imported inside synth, and
 ``mooctrace.actgraph`` inside report and featurize's graph features.
 """
@@ -44,8 +46,6 @@ from mooctrace.footprint import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from mooctrace import model as svm
 
 EXIT_BAD_INPUT = 2
@@ -97,12 +97,8 @@ class PipelineConfig:
 
 def load_config_file(path: str) -> dict[str, object]:
     """Flat key=value lines cast by _CONFIG_CASTS; '#' comments."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CommandError(EXIT_BAD_INPUT, f"cannot read config: {exc}") from exc
     values: dict[str, str] = {}
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(_read_text(path, "config").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -174,11 +170,19 @@ def write_jsonl_atomic(path: Path, objs) -> None:
     write_text_atomic(path, "".join(_encode_sorted(o) + "\n" for o in objs))
 
 
+def _read_text(path: str, what: str) -> str:
+    """The file's bytes decoded as strict UTF-8, so that no '\r' or '\r\n'
+    becomes '\n' on the way in; a file that cannot be read or decoded exits 2
+    naming its path."""
+    try:
+        return Path(path).read_bytes().decode()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise CommandError(EXIT_BAD_INPUT, f"cannot read {what} {path}: {reason}") from exc
+
+
 def _read_events(path: str):
-    try:  # bytes, so that no '\r' or '\r\n' becomes '\n' on the way in
-        text = Path(path).read_bytes().decode()
-    except OSError as exc:
-        raise CommandError(EXIT_BAD_INPUT, f"cannot read events: {exc}") from exc
+    text = _read_text(path, "events")
     try:
         return events_from_jsonl(text)
     except ValueError as exc:  # names the line
@@ -278,11 +282,8 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 def _load_matrix(path: str, feature_index_path: str):
     """(X, y) plus the feature names in column order."""
-    try:
-        index = json.loads(Path(feature_index_path).read_text())
-        text = Path(path).read_bytes().decode()  # rows end only at '\n'
-    except OSError as exc:
-        raise CommandError(EXIT_BAD_INPUT, f"cannot read dataset: {exc}") from exc
+    index = json.loads(_read_text(feature_index_path, "feature index"))
+    text = _read_text(path, "dataset")
     if not (
         isinstance(index, dict)
         and all(type(col) is int for col in index.values())
@@ -310,7 +311,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     params = build_config(args).svm_params()
     (X, y), names = _load_matrix(args.train, args.features)
-    if len(set(y.tolist())) < 2:
+    if not y:
+        raise CommandError(EXIT_EMPTY_EVENTS, "train split is empty")
+    if len(set(y)) < 2:
         raise CommandError(EXIT_SINGLE_CLASS, "train split contains a single class")
     trained = svm.fit_svm(X, y, params)
     trained.feature_names = names
@@ -323,17 +326,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate_model(model_path: str, X: features.Csr, y: np.ndarray, names: tuple):
+def _evaluate_model(model_path: str, X: svm.Csr, y: list[int], names: tuple):
     from mooctrace import model as svm
 
-    try:
-        text = Path(model_path).read_text()
-    except OSError as exc:
-        raise CommandError(EXIT_BAD_INPUT, f"cannot read model: {exc}") from exc
-    trained = svm.load_model(text, names)  # a ValueError for other names: exit 2
+    trained = svm.load_model(_read_text(model_path, "model"), names)  # other names: exit 2
     _warn_if_unconverged(trained)
     predictions = svm.predict_all(trained, X)
-    return predictions, svm.evaluate(list(predictions), list(y))
+    return predictions, svm.evaluate(list(predictions), y)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -342,7 +341,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from mooctrace import model as svm
 
     (X, y), names = _load_matrix(args.test, args.features)
-    if len(y) == 0:
+    if not y:
         raise CommandError(EXIT_EMPTY_EVENTS, "test split is empty")
     predictions, report = _evaluate_model(args.model_file, X, y, names)
     write_text_atomic(

@@ -1,16 +1,20 @@
 """Cost-sensitive RBF-SVM training, evaluation metrics, and feature analyses.
 
+This is the package's one numpy module: train, eval and report import it
+inside their commands, so synth, ingest and featurize never load numpy.
+
 The solver works on the soft-margin dual with per-class box constraints
 0 <= alpha_i <= C * class_cost[y_i], optimized by sequential minimal
 optimization with maximal-violating-pair working-set selection, ties broken
-by the lowest index. Data and support vectors are features.Csr matrices, so
-memory grows with the nonzeros, never with rows x features. Kernel values
-come from squared row norms and the dot products of features.RowDots: one
-BLAS product over a matrix's frequent columns, and an inverted index over
-its other nonzeros. A training-kernel column is one training row against the
-training rows; prediction scores a block of test rows at a time against the
-support vectors. Evaluation reports accuracy, Cohen's kappa and false
-negative rate with dropout as the positive class.
+by the lowest index. Data and support vectors are Csr matrices, the one
+matrix type of training, prediction and model.json, so memory grows with the
+nonzeros, never with rows x features. Kernel values come from squared row
+norms and the dot products of RowDots: one BLAS product over a matrix's
+frequent columns, and an inverted index over its other nonzeros. A
+training-kernel column is one training row against the training rows;
+prediction scores a block of test rows at a time against the support
+vectors. Evaluation reports accuracy, Cohen's kappa and false negative rate
+with dropout as the positive class.
 """
 
 from __future__ import annotations
@@ -26,12 +30,148 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from mooctrace.features import Csr, CsrError, RowDots
-
 _EPS = 1e-12
 # Working-set scores this close to the extreme, relative to max(1, |extreme|),
 # count as tied with it (see _lowest_near_max).
 _TIE = 1e-12
+
+
+class CsrError(ValueError):
+    """A Csr constructor check failed; check names it: "indptr", "column",
+    "value", "order" or "norm"."""
+
+    def __init__(self, check: str, message: str):
+        super().__init__(message)
+        self.check = check
+
+
+class Csr:
+    """A float matrix in compressed sparse row form, holding only its nonzeros.
+
+    Row r's columns are indices[indptr[r]:indptr[r + 1]], strictly ascending,
+    with their values at the same positions of data; sq_norms[r] is the row's
+    squared norm. The constructor is the one validator of a matrix, whoever
+    built its arrays: it raises a CsrError, naming the first bad row (from 1)
+    in row-major order, on an indptr that is not nondecreasing from 0 to the
+    number of items, a column outside [0, n_features), a value that is not
+    finite, a column that does not ascend strictly within its row, and then
+    on a squared norm that overflows (the RBF kernel of such a row is NaN).
+    Explicit zeros are dropped after the checks.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "n_features", "sq_norms")
+
+    def __init__(self, indptr, indices, data, n_features: int):
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        data = np.asarray(data, dtype=float)
+        if not (
+            indptr.ndim == indices.ndim == data.ndim == 1 and len(indptr) > 0
+            and indptr[0] == 0 and indptr[-1] == len(indices) == len(data)
+            and np.all(indptr[1:] >= indptr[:-1])
+        ):
+            raise CsrError("indptr", "indptr is not nondecreasing from 0 to the number of items")
+        n_rows = len(indptr) - 1
+        row = np.repeat(np.arange(n_rows), np.diff(indptr))
+        bad_column = (indices < 0) | (indices >= n_features)
+        bad_value = ~np.isfinite(data)
+        bad_order = np.zeros(len(indices), dtype=bool)
+        bad_order[1:] = (row[1:] == row[:-1]) & (indices[1:] <= indices[:-1])
+        bad = bad_column | bad_value | bad_order
+        if bad.any():
+            k = int(np.argmax(bad))
+            where = f"row {row[k] + 1}: column {indices[k]}"
+            if bad_column[k]:
+                raise CsrError("column", f"{where} outside [0, {n_features})")
+            if bad_value[k]:
+                raise CsrError("value", f"{where} value {str(data[k])!r} is not finite")
+            raise CsrError(
+                "order", f"{where} after column {indices[k - 1]}; columns must ascend strictly"
+            )
+        nonzero = data != 0
+        if not nonzero.all():
+            row, indices, data = row[nonzero], indices[nonzero], data[nonzero]
+            indptr = np.zeros(n_rows + 1, dtype=np.int64)
+            np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
+        with np.errstate(over="ignore"):
+            sq_norms = np.bincount(row, weights=data * data, minlength=n_rows)
+        finite = np.isfinite(sq_norms)
+        if not finite.all():
+            raise CsrError("norm", f"row {int(np.argmin(finite)) + 1}: squared norm is not finite")
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.n_features, self.sq_norms = n_features, sq_norms
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def take(self, rows) -> Csr:
+        """The rows at the given positions, in their order."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        pos = _spans(starts, counts)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return Csr(indptr, self.indices[pos], self.data[pos], self.n_features)
+
+
+def _spans(starts, counts):
+    """The positions starts[k] .. starts[k] + counts[k] - 1 for every k, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts)
+
+
+class RowDots:
+    """Dot products of query rows with every row of a Csr matrix M.
+
+    M is held in two parts. The columns nonzero in more than 1/share of M's
+    rows form a dense copy, multiplied by BLAS. Every other nonzero sits in
+    M's inverted index, by column, so that a query row's item in column c
+    visits only the rows of M that are nonzero in c. A query matrix is split
+    the same way once (split), then its rows are taken a block at a time.
+    """
+
+    def __init__(self, M: Csr, share: int):
+        self.n = len(M)
+        frequent = np.flatnonzero(np.bincount(M.indices, minlength=M.n_features) * share > self.n)
+        self.slot = np.full(M.n_features, -1)
+        self.slot[frequent] = np.arange(len(frequent))
+        self.width = len(frequent)
+        self.dense, self.rare = self.split(M)
+        order = np.argsort(self.rare.indices, kind="stable")
+        self.colptr = np.zeros(M.n_features + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.rare.indices, minlength=M.n_features), out=self.colptr[1:])
+        self.rows = np.repeat(np.arange(self.n), np.diff(self.rare.indptr))[order]
+        self.values = self.rare.data[order]
+
+    def split(self, X: Csr) -> tuple[np.ndarray, Csr]:
+        """X's columns frequent in M as a dense array, and X's other items."""
+        rows = np.repeat(np.arange(len(X)), np.diff(X.indptr))
+        where = self.slot[X.indices]
+        frequent = where >= 0
+        dense = np.zeros((len(X), self.width))
+        dense[rows[frequent], where[frequent]] = X.data[frequent]
+        rare = ~frequent
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[rare], minlength=len(X)))))
+        return dense, Csr(indptr, X.indices[rare], X.data[rare], X.n_features)
+
+    def dots(self, dense: np.ndarray, rare: Csr, start: int, stop: int) -> np.ndarray:
+        """The (stop - start) x n dot products of rows start..stop-1 of a split
+        query matrix with M's rows; dense holds just those rows' part."""
+        lo, hi = rare.indptr[start], rare.indptr[stop]
+        cols, vals = rare.indices[lo:hi], rare.data[lo:hi]
+        starts = self.colptr[cols]
+        counts = self.colptr[cols + 1] - starts
+        pos = _spans(starts, counts)
+        target = self.rows[pos]
+        if stop - start > 1:
+            query = np.repeat(np.arange(stop - start), np.diff(rare.indptr[start : stop + 1]))
+            target += np.repeat(query * self.n, counts)
+        out = np.bincount(target, self.values[pos] * np.repeat(vals, counts),
+                          minlength=(stop - start) * self.n)
+        # bincount over no items returns ints, even with weights.
+        out = out.astype(float, copy=False).reshape(stop - start, self.n)
+        out += dense @ self.dense.T
+        return out
 
 
 @dataclass
@@ -269,7 +409,7 @@ def decision_function(model: TrainedModel, X: Csr) -> np.ndarray:
     return values + model.bias
 
 
-def predict_all(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+def predict_all(model: TrainedModel, X: Csr) -> np.ndarray:
     """Predicted labels in {0, 1}; a decision value of exactly 0 maps to 0."""
     return (decision_function(model, X) > 0).astype(int)
 

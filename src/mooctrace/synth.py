@@ -10,6 +10,7 @@ tokens, fewer repeats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from random import Random
 
@@ -38,8 +39,10 @@ class SynthProfile:
 
     def normalized_mix(self) -> tuple[float, float, float]:
         total = sum(self.archetype_mix)
-        if total <= 0 or any(p < 0 for p in self.archetype_mix):
-            raise ValueError("archetype_mix must be non-negative and sum > 0")
+        # `not p >= 0` refuses NaN too, and an infinite share makes the sum
+        # infinite: either would make every student one archetype.
+        if not 0 < total < math.inf or any(not p >= 0 for p in self.archetype_mix):
+            raise ValueError("archetype_mix must be finite, non-negative and sum > 0")
         return tuple(p / total for p in self.archetype_mix)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import optimize
 
-from mooctrace.features import Csr
+from mooctrace.model import Csr
 
 
 def csr(X) -> Csr:

@@ -156,6 +156,11 @@ class TestFeaturizeCommand:
                    "--test-id-min", 0, "--test-id-max", 200) == 0
         assert capsys.readouterr().err == '{"warning": "train split is empty"}\n'
         assert (tmp_path / "f" / "features.json").read_text() == "{}\n"
+        code = run("train", "--train", tmp_path / "f" / "train.txt",
+                   "--features", tmp_path / "f" / "features.json", "--out", tmp_path / "m.json")
+        assert code == cli.EXIT_EMPTY_EVENTS
+        assert json.loads(capsys.readouterr().err)["error"] == "train split is empty"
+        assert not (tmp_path / "m.json").exists()
 
     def test_instance_count_matches_active_student_weeks(self, events_dir, featurized_dir):
         from mooctrace.footprint import build_curr_sequences
@@ -580,6 +585,33 @@ class TestTrainEvalCommands:
         assert run(*argv, "--features", bad) == cli.EXIT_BAD_INPUT
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == cli.EXIT_BAD_INPUT and "features.json" in err["error"]
+
+    @pytest.mark.parametrize("name, command", [
+        ("config", "featurize"), ("events.jsonl", "featurize"), ("train.txt", "train"),
+        ("features.json", "train"), ("model.json", "eval"),
+    ])
+    def test_non_utf8_input_names_its_file(self, tmp_path, featurized_dir, events_dir, capsys,
+                                           name, command):
+        events, config = events_dir / "events.jsonl", tmp_path / "config"
+        train, index = featurized_dir / "train.txt", featurized_dir / "features.json"
+        model_path = tmp_path / "model.json"
+        assert run("train", "--train", train, "--features", index, "--out", model_path) == 0
+        config.write_text("rare_threshold=4\n")
+        bad = {"config": config, "events.jsonl": events, "train.txt": train,
+               "features.json": index, "model.json": model_path}[name]
+        bad.write_bytes(bad.read_bytes().replace(b"\n", b"\xff\n", 1))
+        argv = {
+            "featurize": ("--events", events, "--out-dir", tmp_path / "o", "--config", config),
+            "train": ("--train", train, "--features", index, "--out", tmp_path / "m2.json"),
+            "eval": ("--model-file", model_path, "--test", featurized_dir / "test.txt",
+                     "--features", index, "--out", tmp_path / "r.json"),
+        }[command]
+        capsys.readouterr()
+        assert run(command, *argv) == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == cli.EXIT_BAD_INPUT
+        assert err["error"].startswith("cannot read ") and str(bad) in err["error"]
+        assert "can't decode byte 0xff" in err["error"]
 
     def test_single_class_train_exit_4(self, tmp_path, capsys):
         # Every student participates exactly one week: all labels are 1.

@@ -9,7 +9,7 @@ from scipy import stats as scipy_stats
 
 from mooctrace import features as ft
 from mooctrace import model as m
-from mooctrace.features import Csr
+from mooctrace.model import Csr
 from oracles import csr, dense, rbf_decision_bruteforce, svm_dual_objective, svm_dual_qp
 
 TOY_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -150,7 +150,7 @@ class TestSparseKernel:
         rng = np.random.default_rng(share)
         text, X = sparse_text(rng, 90, 40)
         matrix, _ = ft.read_sparse(text, 40)
-        index = ft.RowDots(matrix, share)
+        index = m.RowDots(matrix, share)
         assert 0 < len(index.dense[0]) < 40  # both parts in use
         exact = X @ X.T
         for i in range(len(X)):  # one row, as a training-kernel column

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -87,10 +88,11 @@ class TestGenerator:
     def test_invalid_profiles_rejected(self):
         with pytest.raises(ValueError):
             synth.generate_synthetic(synth.SynthProfile(n_students=0, weeks=4), 1)
-        with pytest.raises(ValueError):
-            synth.generate_synthetic(
-                synth.SynthProfile(n_students=5, weeks=4, archetype_mix=(0, 0, 0)), 1
-            )
+        for mix in [(0, 0, 0), (math.nan, 1, 1), (math.inf, 1, 1)]:
+            with pytest.raises(ValueError):
+                synth.generate_synthetic(
+                    synth.SynthProfile(n_students=5, weeks=4, archetype_mix=mix), 1
+                )
 
     def test_signal_shrinks_final_weeks(self):
         # With a full-strength signal, the average final-week event count
