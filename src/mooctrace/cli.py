@@ -181,6 +181,15 @@ def _read_text(path: str, what: str) -> str:
         raise CommandError(EXIT_BAD_INPUT, f"cannot read {what} {path}: {reason}") from exc
 
 
+def _parsed(path: str, parse, *args):
+    """parse(*args), the content of the file at path; a ValueError, a defect of
+    that content, exits 2 naming path."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise CommandError(EXIT_BAD_INPUT, f"{path}: {exc}") from exc
+
+
 def _read_events(path: str):
     text = _read_text(path, "events")
     try:
@@ -282,7 +291,8 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 def _load_matrix(path: str, feature_index_path: str):
     """(X, y) plus the feature names in column order."""
-    index = json.loads(_read_text(feature_index_path, "feature index"))
+    index_text = _read_text(feature_index_path, "feature index")
+    index = _parsed(feature_index_path, json.loads, index_text)
     text = _read_text(path, "dataset")
     if not (
         isinstance(index, dict)
@@ -293,7 +303,8 @@ def _load_matrix(path: str, feature_index_path: str):
             EXIT_BAD_INPUT,
             f"{feature_index_path}: not a {{name: column}} object over columns 0..n-1",
         )
-    return features.read_sparse(text, len(index)), tuple(sorted(index, key=index.get))
+    matrix = _parsed(path, features.read_sparse, text, len(index))  # names the row
+    return matrix, tuple(sorted(index, key=index.get))
 
 
 def _warn_if_unconverged(trained: svm.TrainedModel) -> None:
@@ -329,7 +340,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _evaluate_model(model_path: str, X: svm.Csr, y: list[int], names: tuple):
     from mooctrace import model as svm
 
-    trained = svm.load_model(_read_text(model_path, "model"), names)  # other names: exit 2
+    # A model with other feature names than the index exits 2 too.
+    trained = _parsed(model_path, svm.load_model, _read_text(model_path, "model"), names)
     _warn_if_unconverged(trained)
     predictions = svm.predict_all(trained, X)
     return predictions, svm.evaluate(list(predictions), y)
@@ -404,8 +416,8 @@ def _analysis_columns(rows) -> dict:
     columns = {}
     for (name, strategy), values in zip(_ANALYSIS_COLUMNS.items(), zip(*rows)):
         if strategy is not None:
-            split = features.Dichotomizer.fit(values, strategy)
-            values = [str(split.apply(v)) for v in values]
+            split = features.fit_value_map(values, strategy)
+            values = [str(int(split(v))) for v in values]
         columns[name] = values
     return columns
 

@@ -1,11 +1,14 @@
 """Raw event log parsing and encoding into the 15-token activity alphabet.
 
 Input logs are JSON-lines. Clickstream lines carry ``sid``, ``t``, ``vid``,
-``kind`` and, depending on kind, ``dir`` (seek) or ``rate`` (ratechange).
-Forum lines carry ``sid``, ``t``, ``kind``. Parsing is lenient: malformed
-lines become per-line diagnostics instead of aborting the run: bad JSON
-(including an integer literal past Python's digit limit), a missing or
-mistyped field, and a ``t`` or ``rate`` too large for a float.
+``kind`` and, depending on kind, ``dir`` (seek) or ``rate`` (ratechange), and
+parse to ``RawClickEvent``s. Forum lines carry ``sid``, ``t``, ``kind``, and
+parse straight to ``Event``s, one token per kind. ``encode_events`` encodes
+each student's clicks (seek runs, playrate sessions) and merges the forum
+events in with one sort. Parsing is lenient: malformed lines become per-line
+diagnostics instead of aborting the run: bad JSON (including an integer
+literal past Python's digit limit), a missing or mistyped field, and a ``t``
+or ``rate`` too large for a float.
 
 ``events_to_jsonl`` writes encoded events as fixed-format JSON lines, the
 same bytes ``json.dumps(obj, sort_keys=True)`` gives for each event the
@@ -98,14 +101,6 @@ class RawClickEvent(NamedTuple):
     playrate: float | None = None      # required iff kind == "ratechange"
 
 
-class RawForumEvent(NamedTuple):
-    """A single discussion forum event before encoding."""
-
-    student_id: int
-    timestamp: float
-    kind: str  # key of FORUM_KIND_TO_TOKEN
-
-
 class Event(NamedTuple):
     """Canonical encoded record: who did which activity when.
 
@@ -184,12 +179,12 @@ def _parse_click_line(obj: dict) -> RawClickEvent:
     return RawClickEvent(sid, vid, t, kind, direction, rate)
 
 
-def _parse_forum_line(obj: dict) -> RawForumEvent:
+def _parse_forum_line(obj: dict) -> Event:
     sid, t = _parse_common(obj)
     kind = obj.get("kind")
     if kind not in FORUM_KIND_TO_TOKEN:
         raise ValueError(f"unknown kind {kind!r}")
-    return RawForumEvent(sid, t, kind)
+    return Event(sid, t, FORUM_KIND_TO_TOKEN[kind])
 
 
 def _parse_log(stream, parse_line) -> tuple[list, list[ParseDiagnostic]]:
@@ -229,8 +224,9 @@ def parse_clickstream_log(stream) -> tuple[list[RawClickEvent], list[ParseDiagno
     return _parse_log(stream, _parse_click_line)
 
 
-def parse_forum_log(stream) -> tuple[list[RawForumEvent], list[ParseDiagnostic]]:
-    """Parse a JSON-lines forum log, collecting per-line diagnostics."""
+def parse_forum_log(stream) -> tuple[list[Event], list[ParseDiagnostic]]:
+    """Parse a JSON-lines forum log into encoded events, collecting per-line
+    diagnostics. A forum kind maps 1:1 to its token, timestamp kept."""
     return _parse_log(stream, _parse_forum_line)
 
 
@@ -322,23 +318,16 @@ def encode_clickstream(events: list[RawClickEvent]) -> tuple[list[Event], int]:
     return out, dropped_equal_rate
 
 
-def encode_forum(events: list[RawForumEvent]) -> list[Event]:
-    """Encode forum events 1:1 into tokens, timestamps preserved."""
-    return [
-        Event(ev.student_id, ev.timestamp, FORUM_KIND_TO_TOKEN[ev.kind])
-        for ev in events
-    ]
-
-
 def encode_events(
-    click_events: list[RawClickEvent], forum_events: list[RawForumEvent]
+    click_events: list[RawClickEvent], forum_events: list[Event]
 ) -> tuple[list[Event], int]:
-    """Encode both sources across all students.
+    """Encode the clickstream across all students and merge in the forum events.
 
     Clickstream events are grouped per student and time-sorted before
     encoding (scroll grouping and playrate sessions are per-student).
-    The combined result is sorted by (student, timestamp, token order)
-    so downstream output is reproducible byte-for-byte.
+    Forum events come encoded from parse_forum_log. The combined result is
+    sorted by (student, timestamp, token order) so downstream output is
+    reproducible byte-for-byte.
     """
     by_student: dict[int, list[RawClickEvent]] = defaultdict(list)
     for ev in click_events:
@@ -351,7 +340,7 @@ def encode_events(
         events, n = encode_clickstream(ordered)
         encoded.extend(events)
         dropped += n
-    encoded.extend(encode_forum(forum_events))
+    encoded.extend(forum_events)
     encoded.sort()  # by (student, timestamp, token)
     return encoded, dropped
 

@@ -11,10 +11,11 @@ makes them model-ready in one pass. It fits one table of dichotomizers and
 min-max scalers, the same for every family, on the training rows only, then
 transforms each training row once, counts feature support over those rows,
 keeps the controls and the names that meet the rare threshold, and projects
-every train and test row onto that index as it builds it. export_sparse
-writes finalized rows against the index as `label idx:val` text, and
-read_sparse parses that text into a model.Csr matrix and a list of labels.
-Only read_sparse, which train and eval call, imports model and so numpy.
+every train and test row onto that index as it builds it. Each of those maps
+is a plain function from fit_value_map, which report's analysis also uses.
+export_sparse writes finalized rows against the index as `label idx:val`
+text, and read_sparse parses that text into a model.Csr matrix and a list of
+labels. Only read_sparse, which train and eval call, imports model and so numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 from mooctrace.events import (
     ACTIVE_FORUM,
@@ -94,46 +95,35 @@ def active_passive_proportions(tokens) -> tuple[float, float, float, float]:
     )
 
 
-@dataclass(frozen=True)
-class Dichotomizer:
-    """A fitted binary split reusable on unseen values.
+def fit_value_map(values: Sequence[float], strategy: str | None) -> Callable[[float], float]:
+    """The map of a raw value to its transformed one, fitted on values.
 
-    equal_width thresholds at the value-range midpoint (bin = value >=
-    threshold); equal_frequency at the lower median (bin = value >
-    threshold). A constant fit degenerates to all-zero bins.
+    "equal_width" bins a value 1.0 when it is at least the midpoint of the
+    fitted range, and every value 0.0 when the fit is constant.
+    "equal_frequency" bins a value 1.0 when it is above the lower median.
+    None scales min-max, and maps every value to 0.0 when the fit is constant.
     """
-
-    threshold: float
-    strict: bool   # compare with > instead of >=
-
-    @classmethod
-    def fit(cls, values: list[float], strategy: str) -> "Dichotomizer":
-        if not values:
-            raise ValueError("cannot fit dichotomizer on empty values")
-        if strategy == "equal_width":
-            lo, hi = min(values), max(values)
-            threshold = (lo + hi) / 2.0
-            strict = lo == hi
-        elif strategy == "equal_frequency":
-            ranked = sorted(values)
-            threshold = ranked[(len(ranked) - 1) // 2]  # lower median
-            strict = True
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        return cls(threshold, strict)
-
-    def apply(self, value: float) -> int:
-        if self.strict:
-            return 1 if value > self.threshold else 0
-        return 1 if value >= self.threshold else 0
+    if not values:
+        raise ValueError("cannot fit a value map on empty values")
+    if strategy == "equal_width":
+        lo, hi = min(values), max(values)
+        mid = (lo + hi) / 2.0
+        return (lambda v: float(v >= mid)) if hi > lo else (lambda v: 0.0)
+    if strategy == "equal_frequency":
+        median = sorted(values)[(len(values) - 1) // 2]  # lower median
+        return lambda v: float(v > median)
+    if strategy is None:
+        lo, hi = min(values), max(values)
+        return (lambda v: (v - lo) / (hi - lo)) if hi > lo else (lambda v: 0.0)
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def _instance_features(
     seq: FootprintSequence, model_family: ModelFamily
 ) -> dict[str, float]:
     feats: dict[str, float] = {
-        "ctl:courseweek": float(seq.week.courseweek),
-        "ctl:userweek": float(seq.week.userweek),
+        "ctl:courseweek": float(seq.courseweek),
+        "ctl:userweek": float(seq.userweek),
         "ctl:seq_length": float(len(seq.tokens)),
         f"ctl:nominal={nominal_activity_type(seq.tokens).value}": 1.0,
     }
@@ -209,19 +199,11 @@ _TRANSFORMS = {
 
 
 def _fit_value_maps(train: list[FeatureVector]) -> dict[str, Callable[[float], float]]:
-    """The _TRANSFORMS dichotomizers and min-max scalers fitted on train, by name."""
-    if not train:
-        return {}
-    maps = {}
-    for name, strategy in _TRANSFORMS.items():
-        values = [fv.features.get(name, 0.0) for fv in train]
-        if strategy is not None:
-            split = Dichotomizer.fit(values, strategy)
-            maps[name] = lambda v, split=split: float(split.apply(v))
-        else:
-            lo, hi = min(values), max(values)
-            maps[name] = lambda v, lo=lo, hi=hi: (v - lo) / (hi - lo) if hi > lo else 0.0
-    return maps
+    """The _TRANSFORMS value maps fitted on train, by name."""
+    return {
+        name: fit_value_map([fv.features.get(name, 0.0) for fv in train], strategy)
+        for name, strategy in _TRANSFORMS.items()
+    } if train else {}
 
 
 def finalize_split(
@@ -229,11 +211,11 @@ def finalize_split(
 ) -> tuple[dict[str, int], list[FeatureVector], list[FeatureVector]]:
     """Transform both splits with train-fitted maps and project them onto one index.
 
-    Returns (index, train, test). Dichotomizers and scalers are fitted on
-    train only. A feature is kept when it is a control ("ctl:") or nonzero in
-    at least `rare_threshold` transformed training instances; the index
-    numbers the kept names in sorted order. Finalized rows hold only indexed
-    nonzero values.
+    Returns (index, train, test). The value maps are fitted on train only.
+    A feature is kept when it is a control ("ctl:") or nonzero in at least
+    `rare_threshold` transformed training instances; the index numbers the
+    kept names in sorted order. Finalized rows hold only indexed nonzero
+    values.
     """
     if rare_threshold < 0:
         raise ValueError("threshold must be >= 0")

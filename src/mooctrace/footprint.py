@@ -3,7 +3,10 @@
 A footprint sequence is the time-ordered token list of one student's
 activity in one course week (Curr setup), or cumulatively from their first
 active week through the current one (TCurr setup). Weeks are fixed 7-day
-bins counted from a configured course start.
+bins counted from a configured course start. Each sequence carries its two
+1-based week numbers as ints: courseweek counts weeks since the course
+started, userweek weeks since the student's first active week, so
+userweek <= courseweek.
 """
 
 from __future__ import annotations
@@ -34,23 +37,10 @@ class NominalActivityType(str, Enum):
 
 
 @dataclass(frozen=True)
-class WeekContext:
-    """Week coordinates of an instance.
-
-    courseweek counts weeks since the course started; userweek counts weeks
-    since the student's first observed activity week. Both are 1-based and
-    userweek <= courseweek.
-    """
-
-    course_start: float
-    courseweek: int
-    userweek: int
-
-
-@dataclass(frozen=True)
 class FootprintSequence:
     student_id: int
-    week: WeekContext
+    courseweek: int
+    userweek: int
     setup: Setup
     tokens: tuple[ActivityToken, ...]
 
@@ -87,11 +77,11 @@ def build_curr_sequences(
 
     sequences = {}
     for (sid, week), evs in by_key.items():
-        ctx = WeekContext(course_start, week, week - first_week[sid] + 1)
         # One student, so tuple order is (timestamp, token): video tokens sort
         # before forum tokens at a tie, and equal events keep input order.
         tokens = tuple(e.token for e in sorted(evs))
-        sequences[(sid, week)] = FootprintSequence(sid, ctx, Setup.CURR, tokens)
+        userweek = week - first_week[sid] + 1
+        sequences[(sid, week)] = FootprintSequence(sid, week, userweek, Setup.CURR, tokens)
     return sequences
 
 
@@ -114,7 +104,7 @@ def build_tcurr_sequences(
             seq = curr[(sid, week)]
             prefix.extend(seq.tokens)
             sequences[(sid, week)] = FootprintSequence(
-                sid, seq.week, Setup.TCURR, tuple(prefix)
+                sid, week, seq.userweek, Setup.TCURR, tuple(prefix)
             )
     return sequences
 
@@ -147,8 +137,8 @@ def sequences_to_jsonl(seqs: Iterable[FootprintSequence]) -> str:
     for seq in seqs:
         tokens = ", ".join(map(_QUOTED_NAMES.__getitem__, seq.tokens))
         lines.append(
-            f'{{"courseweek": {seq.week.courseweek}, "setup": "{seq.setup.value}", '
+            f'{{"courseweek": {seq.courseweek}, "setup": "{seq.setup.value}", '
             f'"sid": {seq.student_id}, "tokens": [{tokens}], '
-            f'"userweek": {seq.week.userweek}}}\n'
+            f'"userweek": {seq.userweek}}}\n'
         )
     return "".join(lines)

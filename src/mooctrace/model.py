@@ -289,9 +289,10 @@ def fit_svm(X: Csr, y01: np.ndarray, params: SvmParams) -> TrainedModel:
         params.class_cost if params.class_cost is not None else default_class_cost(y01)
     )
     for label in (0, 1):
-        if not 0 < params.C * class_cost[label] < math.inf:
-            raise ValueError(f"C * class_cost[{label}] must be finite and positive, "
-                             f"not {params.C} * {class_cost[label]}")
+        # Both factors positive, as load_model requires of each cost.
+        if not (class_cost[label] > 0 and 0 < params.C * class_cost[label] < math.inf):
+            raise ValueError(f"C * class_cost[{label}] must be finite and positive, with "
+                             f"positive factors, not {params.C} * {class_cost[label]}")
     if not 0 < params.tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and positive, not {params.tolerance}")
     if params.max_iter < 0:
@@ -662,6 +663,12 @@ def load_model(text: str, feature_names: tuple[str, ...] | None = None) -> Train
     p = _checked(obj["params"], _PARAM_KEYS, "model params")
     if p["gamma"] <= 0:
         raise ValueError("model params key 'gamma' is not positive")
+    # dump_model writes one finite positive cost for each label.
+    cost = _checked(p["class_cost"], {"0": _NUMBER, "1": _NUMBER}, "model params key 'class_cost'")
+    if len(cost) != 2:
+        raise ValueError("model params key 'class_cost' has a key other than '0' and '1'")
+    if not min(cost.values()) > 0:
+        raise ValueError("model params key 'class_cost' has a cost that is not positive")
     names = obj.get("feature_names")
     if names is not None and not (
         isinstance(names, list) and all(isinstance(name, str) for name in names)
@@ -683,7 +690,7 @@ def load_model(text: str, feature_names: tuple[str, ...] | None = None) -> Train
         raise ValueError("model key 'sv_labels' has an entry other than -1 and 1")
     if not np.all(alphas > 0):
         raise ValueError("model key 'alphas' has an entry that is not positive")
-    class_cost = {int(k): v for k, v in p["class_cost"].items()}
+    class_cost = {int(k): v for k, v in cost.items()}
     params = SvmParams(**{key: p[key] for key in _PARAM_KEYS} | {"class_cost": class_cost})
     return TrainedModel(
         support_vectors=_support_vectors(obj, len(alphas)),

@@ -142,6 +142,8 @@ def generate_synthetic(
     """
     if profile.n_students < 1 or profile.weeks < 1:
         raise ValueError("n_students and weeks must be >= 1")
+    if not 0 <= profile.dropout_signal_strength <= 1:  # NaN too
+        raise ValueError("dropout_signal_strength must be a probability in [0, 1]")
     mix = profile.normalized_mix()
     rng = Random(seed)
     clicks: list[dict] = []

@@ -59,6 +59,12 @@ def _put_item(row: str, item: str) -> str:
     return " ".join([label, *kept[:at], item, *kept[at:]])
 
 
+def _with_class_cost(obj: dict, cost_json: str) -> str:
+    """The model's JSON text with its params' class_cost replaced by cost_json."""
+    params = dict(obj["params"], class_cost="COST")
+    return json.dumps(dict(obj, params=params)).replace('"COST"', cost_json)
+
+
 class TestSynthCommand:
     def test_writes_both_logs(self, logs_dir):
         assert (logs_dir / "clickstream.jsonl").exists()
@@ -366,7 +372,7 @@ class TestTrainEvalCommands:
         assert code == cli.EXIT_BAD_INPUT
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == cli.EXIT_BAD_INPUT
-        assert err["error"].startswith(f"row {len(lines)}: ")
+        assert err["error"].startswith(f"{bad}: row {len(lines)}: ")
         assert reason in err["error"]
         assert not (tmp_path / "m.json").exists()
 
@@ -385,6 +391,7 @@ class TestTrainEvalCommands:
             ("--svm-c -1", "C * class_cost"),
             ("--svm-c nan", "C * class_cost"),
             ("--cost0 -1 --cost1 1", "C * class_cost[0]"),
+            ("--svm-c -1 --cost0 -1 --cost1 -1", "C * class_cost[0]"),
             ("--svm-tolerance nan", "tolerance"),
             ("--svm-tolerance 0", "tolerance"),
             ("--svm-max-iter -3", "max_iter"),
@@ -547,12 +554,20 @@ class TestTrainEvalCommands:
                      "'feature_names'", id="int-feature_names"),
         pytest.param(lambda obj: dict(obj, n_features=obj["n_features"] + 1),
                      "'feature_names'", id="n_features-not-names"),
+        pytest.param(lambda obj: "not json", "Expecting value", id="json-syntax"),
+        *(pytest.param(lambda obj, cost=cost: _with_class_cost(obj, cost), "'class_cost'",
+                       id=f"class_cost-{name}") for name, cost in [
+            ("empty", "{}"), ("string", '{"0": "abc", "1": 1.0}'),
+            ("past-float", '{"0": -1, "1": 1e400}'), ("key-x", '{"x": 1.0}'),
+            ("zero", '{"0": 0, "1": 1.0}'), ("key-2", '{"0": 1.0, "1": 1.0, "2": 1.0}'),
+        ]),
     ])
     def test_malformed_model_exit_2(self, tmp_path, featurized_dir, capsys, damage, key):
         model_path = tmp_path / "model.json"
         assert run("train", "--train", featurized_dir / "train.txt",
                    "--features", featurized_dir / "features.json", "--out", model_path) == 0
-        model_path.write_text(json.dumps(damage(json.loads(model_path.read_text()))))
+        damaged = damage(json.loads(model_path.read_text()))
+        model_path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
         capsys.readouterr()
         code = run("eval", "--model-file", model_path,
                    "--test", featurized_dir / "test.txt",
@@ -561,6 +576,7 @@ class TestTrainEvalCommands:
         assert code == cli.EXIT_BAD_INPUT
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == cli.EXIT_BAD_INPUT and key in err["error"]
+        assert err["error"].startswith(f"{model_path}: ")
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("index", [
@@ -568,11 +584,12 @@ class TestTrainEvalCommands:
         pytest.param({"a": "0"}, id="string-column"),
         pytest.param({"a": 0, "b": 0}, id="repeated-column"),
         pytest.param({"a": 1}, id="column-gap"),
+        pytest.param('{"a": 0,}', id="json-syntax"),
     ])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_bad_feature_index_exit_2(self, tmp_path, featurized_dir, capsys, command, index):
         bad = tmp_path / "features.json"
-        bad.write_text(json.dumps(index))
+        bad.write_text(index if isinstance(index, str) else json.dumps(index))
         if command == "train":
             argv = ("train", "--train", featurized_dir / "train.txt", "--out", tmp_path / "m.json")
         else:
@@ -584,7 +601,7 @@ class TestTrainEvalCommands:
         capsys.readouterr()
         assert run(*argv, "--features", bad) == cli.EXIT_BAD_INPUT
         err = json.loads(capsys.readouterr().err)
-        assert err["code"] == cli.EXIT_BAD_INPUT and "features.json" in err["error"]
+        assert err["code"] == cli.EXIT_BAD_INPUT and err["error"].startswith(f"{bad}: ")
 
     @pytest.mark.parametrize("name, command", [
         ("config", "featurize"), ("events.jsonl", "featurize"), ("train.txt", "train"),

@@ -104,12 +104,29 @@ class TestParseClickstream:
         assert len(parsed) == 1 and diags == []
 
 
+FORUM_TOKEN_OF = {
+    "post": T.Po, "comment": T.Co, "thread": T.Th, "upvote": T.Uv,
+    "downvote": T.Dv, "viewforum": T.Vf, "viewthread": T.Vt,
+}
+
+
 class TestParseForum:
     def test_viewthread(self):
         parsed, diags = ev.parse_forum_log(
             click_stream([{"sid": 7, "t": 50, "kind": "viewthread"}])
         )
-        assert parsed == [ev.RawForumEvent(7, 50.0, "viewthread")]
+        assert parsed == [ev.Event(7, 50.0, T.Vt)]
+        assert diags == []
+
+    def test_every_kind_has_its_token(self):
+        assert ev.FORUM_KIND_TO_TOKEN == FORUM_TOKEN_OF
+
+    @pytest.mark.parametrize("kind,token", FORUM_TOKEN_OF.items())
+    def test_kind_maps_to_token(self, kind, token):
+        parsed, diags = ev.parse_forum_log(
+            click_stream([{"sid": 1, "t": 5.0, "kind": kind}, {"sid": 1, "t": 2, "kind": kind}])
+        )
+        assert parsed == [ev.Event(1, 5.0, token), ev.Event(1, 2.0, token)]  # file order
         assert diags == []
 
     def test_unknown_kind(self):
@@ -232,19 +249,6 @@ class TestEncodeClickstream:
         assert len(out) == len(raw)
 
 
-class TestEncodeForum:
-    def test_single_post(self):
-        out = ev.encode_forum([ev.RawForumEvent(1, 5.0, "post")])
-        assert out == [ev.Event(1, 5.0, T.Po)]
-
-    def test_mapping_preserves_order(self):
-        raw = [ev.RawForumEvent(1, 1.0, "viewforum"), ev.RawForumEvent(1, 2.0, "upvote")]
-        assert [e.token for e in ev.encode_forum(raw)] == [T.Vf, T.Uv]
-
-    def test_empty(self):
-        assert ev.encode_forum([]) == []
-
-
 SEEK_DIR = st.sampled_from(["forward", "backward"])
 
 
@@ -310,7 +314,7 @@ class TestEncodeProperties:
 class TestEncodeEvents:
     def test_groups_students_and_sorts(self):
         clicks = [click(5.0, "play", sid=2), click(1.0, "play", sid=1)]
-        forums = [ev.RawForumEvent(1, 3.0, "viewforum")]
+        forums = [ev.Event(1, 3.0, T.Vf)]
         out, dropped = ev.encode_events(clicks, forums)
         assert [(e.student_id, e.token) for e in out] == [
             (1, T.PL),

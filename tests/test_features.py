@@ -66,32 +66,41 @@ class TestProportions:
 
 
 def fit_and_apply(values, strategy):
-    """(bins, threshold) of a Dichotomizer fitted on values."""
-    d = ft.Dichotomizer.fit(values, strategy)
-    return [d.apply(v) for v in values], d.threshold
+    """The map fit_value_map fits on values, and its bins of those values."""
+    split = ft.fit_value_map(values, strategy)
+    return split, [split(v) for v in values]
 
 
 class TestDichotomize:
     def test_equal_width_midpoint(self):
-        bins, threshold = fit_and_apply([0.0, 0.2, 0.6, 1.0], "equal_width")
-        assert threshold == 0.5 and bins == [0, 0, 1, 1]
+        split, bins = fit_and_apply([0.0, 0.2, 0.6, 1.0], "equal_width")
+        assert bins == [0.0, 0.0, 1.0, 1.0]
+        assert split(0.49999) == 0.0 and split(0.5) == 1.0  # v >= midpoint
 
     def test_equal_frequency_lower_median(self):
-        bins, threshold = fit_and_apply([1, 2, 3, 4], "equal_frequency")
-        assert threshold == 2 and bins == [0, 0, 1, 1]
+        split, bins = fit_and_apply([1, 2, 3, 4], "equal_frequency")
+        assert bins == [0.0, 0.0, 1.0, 1.0]
+        assert split(2) == 0.0 and split(2.0001) == 1.0  # v > lower median
 
     def test_constant_input_all_zero(self):
-        for strategy in ("equal_width", "equal_frequency"):
-            bins, _ = fit_and_apply([5, 5, 5], strategy)
-            assert bins == [0, 0, 0]
+        for strategy in ("equal_width", "equal_frequency", None):
+            _, bins = fit_and_apply([5, 5, 5], strategy)
+            assert bins == [0.0, 0.0, 0.0]
+        split = ft.fit_value_map([5, 5, 5], "equal_width")
+        assert split(4) == split(6) == 0.0
 
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            ft.Dichotomizer.fit([1.0], "quartile")
+        for values, strategy in (([1.0], "quartile"), ([], "equal_width"), ([], None)):
+            with pytest.raises(ValueError):
+                ft.fit_value_map(values, strategy)
 
     def test_fitted_reuse_on_unseen_values(self):
-        d = ft.Dichotomizer.fit([0.0, 1.0], "equal_width")
-        assert d.apply(0.49) == 0 and d.apply(0.5) == 1 and d.apply(2.0) == 1
+        split = ft.fit_value_map([0.0, 1.0], "equal_width")
+        assert split(0.49) == 0 and split(0.5) == 1 and split(2.0) == 1
+
+    def test_min_max_scaling(self):
+        split = ft.fit_value_map([2.0, 4.0, 6.0], None)
+        assert [split(v) for v in (2.0, 3.0, 6.0, 8.0)] == [0.0, 0.25, 1.0, 1.5]
 
 
 def build_sequences(layout):

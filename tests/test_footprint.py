@@ -59,8 +59,8 @@ class TestCurrSequences:
     def test_week_context(self):
         events = make_events(5, {2: [T.PL], 4: [T.PA]})
         curr = fp.build_curr_sequences(events, COURSE_START)
-        assert curr[(5, 2)].week == fp.WeekContext(COURSE_START, 2, 1)
-        assert curr[(5, 4)].week == fp.WeekContext(COURSE_START, 4, 3)
+        assert (curr[(5, 2)].courseweek, curr[(5, 2)].userweek) == (2, 1)
+        assert (curr[(5, 4)].courseweek, curr[(5, 4)].userweek) == (4, 3)
 
     def test_default_course_start_is_min_timestamp(self):
         events = [Event(1, 5000.0, T.PL), Event(1, 5000.0 + WEEK, T.PA)]
@@ -142,7 +142,7 @@ class TestFootprintProperties:
             prev = by_student.get(sid, 0)
             assert len(seq.tokens) >= prev
             by_student[sid] = len(seq.tokens)
-            assert 1 <= seq.week.userweek <= seq.week.courseweek
+            assert 1 <= seq.userweek <= seq.courseweek
 
     @given(student_event_sets(), st.randoms())
     @settings(max_examples=100, deadline=None)
@@ -158,8 +158,8 @@ def sequence_json_obj(seq):
     """The object each sequences.jsonl line encodes, for json.dumps to write."""
     return {
         "sid": seq.student_id,
-        "courseweek": seq.week.courseweek,
-        "userweek": seq.week.userweek,
+        "courseweek": seq.courseweek,
+        "userweek": seq.userweek,
         "setup": seq.setup.value,
         "tokens": [t.name for t in seq.tokens],
     }
@@ -181,7 +181,8 @@ class TestJsonExport:
     @given(st.lists(st.builds(
         fp.FootprintSequence,
         student_id=st.integers() | st.integers(min_value=2**63, max_value=2**200),
-        week=st.builds(fp.WeekContext, st.just(0.0), st.integers(), st.integers()),
+        courseweek=st.integers(),
+        userweek=st.integers(),
         setup=st.sampled_from(fp.Setup),
         tokens=st.lists(TOKENS, max_size=8).map(tuple),
     ), max_size=4))

@@ -93,6 +93,15 @@ class TestGenerator:
                 synth.generate_synthetic(
                     synth.SynthProfile(n_students=5, weeks=4, archetype_mix=mix), 1
                 )
+        for signal in [math.nan, -3.0, -1e-9, 1.0000001, 5.0, math.inf]:
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                synth.generate_synthetic(
+                    synth.SynthProfile(n_students=5, weeks=4, dropout_signal_strength=signal), 1
+                )
+        for signal in [0.0, 1.0]:  # the ends of the range are probabilities too
+            synth.generate_synthetic(
+                synth.SynthProfile(n_students=5, weeks=4, dropout_signal_strength=signal), 1
+            )
 
     def test_signal_shrinks_final_weeks(self):
         # With a full-strength signal, the average final-week event count
@@ -137,8 +146,8 @@ class TestGenerator:
             actgraph.compute_metrics(actgraph.build_graph(curr[key].tokens)).density
             for key in keys
         ]
-        split = features.Dichotomizer.fit(densities, "equal_frequency")
-        bins = [split.apply(d) for d in densities]
+        split = features.fit_value_map(densities, "equal_frequency")
+        bins = [int(split(d)) for d in densities]
         rows = dict(
             (cat, (n0, n1))
             for cat, n0, n1 in model.contingency_table([str(b) for b in bins], labels)
