@@ -348,3 +348,65 @@ def test_featurize_artifacts_pinned(tmp_path, snippet_events, family):
                      "--setup", "curr", "--model", family]) == 0
     expected = {**_FEATURIZE_SHA256[family], **_KEYS_AND_SEQUENCES_SHA256}
     assert {name: _sha256((tmp_path / name).read_bytes()) for name in expected} == expected
+
+
+# Malformed lines appended to the snippet's logs: one per kind of defect, so
+# every diagnostic reason and both sources reach diagnostics.jsonl.
+_BAD_CLICK_LINES = (
+    b'{"sid": 1, "t": 5.0, "vid": "v1", "kind": "seek"}\n'
+    b'{"sid": 1, "t": 5.0, "vid": "v1", "kind": "seek", "dir": "up"}\n'
+    b'{"sid": 1, "t": 5.0, "vid": "v1", "kind": "ratechange", "rate": 0}\n'
+    b'{"sid": "1", "t": 5.0, "vid": "v1", "kind": "play"}\n'
+    b'{"sid": 1, "t": -1, "vid": "v1", "kind": "play"}\n'
+    b'{"sid": 1, "t": 5.0, "kind": "play"}\n'
+    b'[1, 2]\n'
+    b'{"sid": 1,\n'
+    b'\xff\xfe\n'
+)
+_BAD_FORUM_LINES = (
+    b'{"sid": 2, "t": 5.0, "kind": "like"}\n'
+    b'{"t": 5.0, "kind": "post"}\n'
+    b'not json\n'
+)
+_DIAGNOSTICS_SHA256 = "e6bfd36e7bf8874b28f923842570b22441671cece59aec4ce83038b392326854"
+# The TCurr sequences of the snippet's events, where each line says "tcurr".
+_TCURR_SEQUENCES_SHA256 = "55fdb8d32ebf476b5469b229ff520a8dcd91b8906b2767f178c5d62f170e85cc"
+# eval of the baseline family, Curr setup: a default model against one with C=10.
+_EVAL_SHA256 = {
+    "report.json": "9829f8253b4dfe52a2ece16e0fbf5485a03a0c0a93eeb79f1ffcea1deacfd936",
+    "ttest.json": "a8c93fc569b7e89cf3983389fa9e797132a0c8d2150fd32c6c16415eac1c28e5",
+}
+
+
+def test_diagnostics_pinned(tmp_path, snippet_events):
+    logs = snippet_events.parent
+    clicks, forum = tmp_path / "clickstream.jsonl", tmp_path / "forum.jsonl"
+    clicks.write_bytes((logs / "clickstream.jsonl").read_bytes() + _BAD_CLICK_LINES)
+    forum.write_bytes((logs / "forum.jsonl").read_bytes() + _BAD_FORUM_LINES)
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--clicks", str(clicks), "--forum", str(forum),
+                     "--out-dir", str(out)]) == 0
+    text = (out / "diagnostics.jsonl").read_bytes()
+    assert text.count(b"\n") == 12
+    assert _sha256(text) == _DIAGNOSTICS_SHA256
+    assert (out / "events.jsonl").read_bytes() == snippet_events.read_bytes()
+
+
+def test_tcurr_sequences_pinned(tmp_path, snippet_events):
+    assert cli.main(["featurize", "--events", str(snippet_events), "--out-dir", str(tmp_path),
+                     "--setup", "tcurr", "--model", "baseline"]) == 0
+    assert _sha256((tmp_path / "sequences.jsonl").read_bytes()) == _TCURR_SEQUENCES_SHA256
+
+
+def test_eval_reports_pinned(tmp_path, snippet_events):
+    feat = tmp_path / "feat"
+    assert cli.main(["featurize", "--events", str(snippet_events), "--out-dir", str(feat),
+                     "--setup", "curr", "--model", "baseline"]) == 0
+    data = ["--train", str(feat / "train.txt"), "--features", str(feat / "features.json")]
+    assert cli.main(["train", *data, "--out", str(tmp_path / "a.json")]) == 0
+    assert cli.main(["train", *data, "--out", str(tmp_path / "b.json"), "--svm-c", "10"]) == 0
+    assert cli.main(["eval", "--model-file", str(tmp_path / "a.json"),
+                     "--model-file-b", str(tmp_path / "b.json"),
+                     "--test", str(feat / "test.txt"), "--features", str(feat / "features.json"),
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert {name: _sha256((tmp_path / name).read_bytes()) for name in _EVAL_SHA256} == _EVAL_SHA256
