@@ -1,8 +1,10 @@
 """Command-line pipeline: synth, ingest, featurize, train, eval, report.
 
 Configuration comes from an optional flat key=value file plus flags (flags
-win). Each command registers only the flags it reads, while a config file
-may set any pipeline key, so one file serves every command. Every text input
+win). ``_CONFIG_KEYS`` is the one table of pipeline keys, each with its cast
+and default, and ``build_config`` returns a plain dict of all of them. Each
+command registers only the flags it reads, while a config file may set any
+pipeline key, so one file serves every command. Every text input
 is decoded as strict UTF-8 from its bytes; a file that cannot be read or
 decoded exits 2 naming its path. Every command writes files atomically,
 exits nonzero on error, and puts a machine-readable JSON error on stderr.
@@ -23,7 +25,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -60,44 +61,29 @@ class CommandError(Exception):
         self.code = code
 
 
-@dataclass
-class PipelineConfig:
-    course_start: float | None = None
-    min_unique_viewers: int = 10
-    setup: Setup = Setup.CURR
-    model: ModelFamily = ModelFamily.GRAPH
-    rare_threshold: int = 4
-    test_id_min: int = 798619
-    test_id_max: int = 1882807
-    # None leaves the SvmParams default.
-    seed: int | None = None
-    svm_c: float | None = None
-    svm_gamma: float | None = None
-    svm_tolerance: float | None = None
-    svm_max_iter: int | None = None
-    cost0: float | None = None
-    cost1: float | None = None
-
-    def svm_params(self) -> svm.SvmParams:
-        from mooctrace import model as svm
-
-        if (self.cost0 is None) != (self.cost1 is None):
-            raise CommandError(EXIT_BAD_INPUT, "cost0 and cost1 go together")
-        class_cost = None if self.cost0 is None else {0: self.cost0, 1: self.cost1}
-        values = {
-            "C": self.svm_c,
-            "gamma": self.svm_gamma,
-            "class_cost": class_cost,
-            "tolerance": self.svm_tolerance,
-            "max_iter": self.svm_max_iter,
-            "seed": self.seed,
-        }
-        return svm.SvmParams(**{k: v for k, v in values.items() if v is not None})
+# Every pipeline key a config file may set, with its cast and its default.
+# A default of None in an svm key or seed leaves the SvmParams default.
+_CONFIG_KEYS = {
+    "course_start": (float, None),
+    "min_unique_viewers": (int, 10),
+    "setup": (Setup, Setup.CURR),
+    "model": (ModelFamily, ModelFamily.GRAPH),
+    "rare_threshold": (int, 4),
+    "test_id_min": (int, 798619),
+    "test_id_max": (int, 1882807),
+    "seed": (int, None),
+    "svm_c": (float, None),
+    "svm_gamma": (float, None),
+    "svm_tolerance": (float, None),
+    "svm_max_iter": (int, None),
+    "cost0": (float, None),
+    "cost1": (float, None),
+}
 
 
 def load_config_file(path: str) -> dict[str, object]:
-    """Flat key=value lines cast by _CONFIG_CASTS; '#' comments."""
-    values: dict[str, str] = {}
+    """Flat key=value lines cast by _CONFIG_KEYS; '#' comments."""
+    values: dict[str, object] = {}
     for number, raw in enumerate(_read_text(path, "config").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,44 +91,42 @@ def load_config_file(path: str) -> dict[str, object]:
         if "=" not in line:
             raise CommandError(EXIT_BAD_INPUT, f"{path} line {number}: not key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        cast = _CONFIG_CASTS.get(key)
-        if cast is None:
+        if key not in _CONFIG_KEYS:
             raise CommandError(EXIT_BAD_INPUT, f"{path} line {number}: unknown key {key!r}")
         try:
-            values[key] = cast(value)
+            values[key] = _CONFIG_KEYS[key][0](value)
         except ValueError as exc:
             raise CommandError(EXIT_BAD_INPUT, f"{path} line {number}: {key}: {exc}") from exc
     return values
 
 
-_CONFIG_CASTS = {
-    "course_start": float,
-    "min_unique_viewers": int,
-    "setup": Setup,
-    "model": ModelFamily,
-    "rare_threshold": int,
-    "test_id_min": int,
-    "test_id_max": int,
-    "seed": int,
-    "svm_c": float,
-    "svm_gamma": float,
-    "svm_tolerance": float,
-    "svm_max_iter": int,
-    "cost0": float,
-    "cost1": float,
-}
-
-
-def build_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig()
-    file_values = load_config_file(args.config) if args.config else {}
-    for key, cast in _CONFIG_CASTS.items():
-        if key in file_values:
-            setattr(cfg, key, file_values[key])
+def build_config(args: argparse.Namespace) -> dict[str, object]:
+    """Every pipeline key: its default, then the config file's value, then the flag's."""
+    cfg = {key: default for key, (_, default) in _CONFIG_KEYS.items()}
+    if args.config:
+        cfg.update(load_config_file(args.config))
+    for key, (cast, _) in _CONFIG_KEYS.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            setattr(cfg, key, cast(flag) if not isinstance(flag, (int, float)) else flag)
+            cfg[key] = cast(flag)
     return cfg
+
+
+def _svm_params(cfg: dict) -> svm.SvmParams:
+    from mooctrace import model as svm
+
+    if (cfg["cost0"] is None) != (cfg["cost1"] is None):
+        raise CommandError(EXIT_BAD_INPUT, "cost0 and cost1 go together")
+    class_cost = None if cfg["cost0"] is None else {0: cfg["cost0"], 1: cfg["cost1"]}
+    values = {
+        "C": cfg["svm_c"],
+        "gamma": cfg["svm_gamma"],
+        "class_cost": class_cost,
+        "tolerance": cfg["svm_tolerance"],
+        "max_iter": cfg["svm_max_iter"],
+        "seed": cfg["seed"],
+    }
+    return svm.SvmParams(**{k: v for k, v in values.items() if v is not None})
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -231,7 +215,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise CommandError(EXIT_BAD_INPUT, f"cannot read input: {exc}") from exc
 
-    valid_clicks = filter_valid_videos(raw_clicks, cfg.min_unique_viewers)
+    valid_clicks = filter_valid_videos(raw_clicks, cfg["min_unique_viewers"])
     events, dropped_equal_rate = encode_events(valid_clicks, raw_forums)
 
     out = Path(args.out_dir)
@@ -248,10 +232,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_sequences(events, cfg: PipelineConfig):
+def _build_sequences(events, cfg: dict):
     """The configured setup's sequences; TCurr ones are built from Curr ones."""
-    curr = build_curr_sequences(events, cfg.course_start)
-    return curr if cfg.setup == Setup.CURR else build_tcurr_sequences(curr)
+    curr = build_curr_sequences(events, cfg["course_start"])
+    return curr if cfg["setup"] == Setup.CURR else build_tcurr_sequences(curr)
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
@@ -262,9 +246,9 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
     sequences = _build_sequences(events, cfg)
     train, test = features.assemble_dataset(
-        sequences, cfg.model, (cfg.test_id_min, cfg.test_id_max)
+        sequences, cfg["model"], (cfg["test_id_min"], cfg["test_id_max"])
     )
-    index, train, test = features.finalize_split(train, test, cfg.rare_threshold)
+    index, train, test = features.finalize_split(train, test, cfg["rare_threshold"])
 
     out = Path(args.out_dir)
     write_text_atomic(out / "train.txt", features.export_sparse(train, index))
@@ -277,11 +261,12 @@ def cmd_featurize(args: argparse.Namespace) -> int:
             (dict(zip(("sid", "courseweek"), fv.instance_id)) for fv in rows),
         )
     write_text_atomic(
-        out / "sequences.jsonl", sequences_to_jsonl(sequences[k] for k in sorted(sequences))
+        out / "sequences.jsonl",
+        sequences_to_jsonl((sequences[k] for k in sorted(sequences)), cfg["setup"]),
     )
     print(
         f"featurize: {len(train)} train / {len(test)} test instances, "
-        f"{len(index)} features ({cfg.setup.value}/{cfg.model.value})"
+        f"{len(index)} features ({cfg['setup'].value}/{cfg['model'].value})"
     )
     for name, rows in splits.items():
         if not rows:
@@ -320,7 +305,7 @@ def _warn_if_unconverged(trained: svm.TrainedModel) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     from mooctrace import model as svm
 
-    params = build_config(args).svm_params()
+    params = _svm_params(build_config(args))
     (X, y), names = _load_matrix(args.train, args.features)
     if not y:
         raise CommandError(EXIT_EMPTY_EVENTS, "train split is empty")
@@ -356,12 +341,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not y:
         raise CommandError(EXIT_EMPTY_EVENTS, "test split is empty")
     predictions, report = _evaluate_model(args.model_file, X, y, names)
-    write_text_atomic(
-        Path(args.out), json.dumps(report.to_json_obj(), sort_keys=True) + "\n"
-    )
+    write_text_atomic(Path(args.out), json.dumps(report, sort_keys=True) + "\n")
     print(
-        f"eval: accuracy={report.accuracy:.4f} kappa={report.kappa:.4f} "
-        f"fnr={report.fnr:.4f}"
+        f"eval: accuracy={report['accuracy']:.4f} kappa={report['kappa']:.4f} "
+        f"fnr={report['fnr']:.4f}"
     )
     if args.model_file_b:
         predictions_b, report_b = _evaluate_model(args.model_file_b, X, y, names)
@@ -373,8 +356,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "t": t_json,
             "p": p_value,
             "df": df,
-            "accuracy_a": report.accuracy,
-            "accuracy_b": report_b.accuracy,
+            "accuracy_a": report["accuracy"],
+            "accuracy_b": report_b["accuracy"],
         }
         out = Path(args.ttest_out or Path(args.out).with_name("ttest.json"))
         write_text_atomic(out, json.dumps(obj, sort_keys=True) + "\n")
@@ -401,7 +384,7 @@ def _analysis_values(tokens, metrics) -> tuple:
     return (
         metrics.num_nodes, metrics.num_edges, metrics.num_self_loops, metrics.density,
         *features.active_passive_proportions(tokens),
-        nominal_activity_type(tokens).value,
+        nominal_activity_type(tokens),
         metrics.top_indegree[0][0].name if metrics.top_indegree else "none",
         transition,
     )
@@ -457,7 +440,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if selected in (None, key):
             sid, week = key
             dots.append((f"s{sid}_w{week}.dot", actgraph.export_dot(graph)))
-            metric_rows.append(actgraph.metrics_csv_row(sid, week, cfg.setup.value, metrics))
+            metric_rows.append(actgraph.metrics_csv_row(sid, week, cfg["setup"].value, metrics))
         analysis_rows.append(_analysis_values(tokens, metrics))
     for name, dot in dots:
         write_text_atomic(out / "dot" / name, dot)

@@ -125,7 +125,7 @@ def _instance_features(
         "ctl:courseweek": float(seq.courseweek),
         "ctl:userweek": float(seq.userweek),
         "ctl:seq_length": float(len(seq.tokens)),
-        f"ctl:nominal={nominal_activity_type(seq.tokens).value}": 1.0,
+        f"ctl:nominal={nominal_activity_type(seq.tokens)}": 1.0,
     }
     if model_family in (ModelFamily.BASELINE, ModelFamily.COMBINED):
         for name, count in ngram_features(seq.tokens).items():

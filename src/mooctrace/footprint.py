@@ -6,7 +6,10 @@ active week through the current one (TCurr setup). Weeks are fixed 7-day
 bins counted from a configured course start. Each sequence carries its two
 1-based week numbers as ints: courseweek counts weeks since the course
 started, userweek weeks since the student's first active week, so
-userweek <= courseweek.
+userweek <= courseweek. Every sequence of a run has the run's one setup, so a
+sequence does not carry it: ``sequences_to_jsonl`` takes it as an argument.
+``nominal_activity_type`` names the sources a sequence uses as a plain
+string: "video_only", "forum_only" or "both".
 """
 
 from __future__ import annotations
@@ -28,20 +31,11 @@ class Setup(str, Enum):
     TCURR = "tcurr"  # cumulative: first participation week through current
 
 
-class NominalActivityType(str, Enum):
-    """Which activity sources appear in a sequence."""
-
-    VIDEO_ONLY = "video_only"
-    FORUM_ONLY = "forum_only"
-    BOTH = "both"
-
-
 @dataclass(frozen=True)
 class FootprintSequence:
     student_id: int
     courseweek: int
     userweek: int
-    setup: Setup
     tokens: tuple[ActivityToken, ...]
 
 
@@ -81,7 +75,7 @@ def build_curr_sequences(
         # before forum tokens at a tie, and equal events keep input order.
         tokens = tuple(e.token for e in sorted(evs))
         userweek = week - first_week[sid] + 1
-        sequences[(sid, week)] = FootprintSequence(sid, week, userweek, Setup.CURR, tokens)
+        sequences[(sid, week)] = FootprintSequence(sid, week, userweek, tokens)
     return sequences
 
 
@@ -103,22 +97,21 @@ def build_tcurr_sequences(
         for week in sorted(weeks):
             seq = curr[(sid, week)]
             prefix.extend(seq.tokens)
-            sequences[(sid, week)] = FootprintSequence(
-                sid, week, seq.userweek, Setup.TCURR, tuple(prefix)
-            )
+            sequences[(sid, week)] = FootprintSequence(sid, week, seq.userweek, tuple(prefix))
     return sequences
 
 
-def nominal_activity_type(tokens) -> NominalActivityType:
-    """Classify a non-empty token sequence by which token sources appear."""
+def nominal_activity_type(tokens) -> str:
+    """Which token sources a non-empty token sequence has: "video_only",
+    "forum_only" or "both"."""
     has_video = any(t in VIDEO_TOKENS for t in tokens)
     has_forum = any(t in FORUM_TOKENS for t in tokens)
     if has_video and has_forum:
-        return NominalActivityType.BOTH
+        return "both"
     if has_video:
-        return NominalActivityType.VIDEO_ONLY
+        return "video_only"
     if has_forum:
-        return NominalActivityType.FORUM_ONLY
+        return "forum_only"
     raise ValueError("an empty token sequence has no activity type")
 
 
@@ -126,8 +119,8 @@ def nominal_activity_type(tokens) -> NominalActivityType:
 _QUOTED_NAMES = [f'"{token.name}"' for token in ActivityToken]
 
 
-def sequences_to_jsonl(seqs: Iterable[FootprintSequence]) -> str:
-    """One JSON line per sequence, keys sorted.
+def sequences_to_jsonl(seqs: Iterable[FootprintSequence], setup: Setup) -> str:
+    """One JSON line per sequence of one setup, keys sorted.
 
     The same bytes as ``json.dumps(obj, sort_keys=True)`` plus a newline for
     the object with keys courseweek, setup, sid, tokens (names) and userweek:
@@ -137,7 +130,7 @@ def sequences_to_jsonl(seqs: Iterable[FootprintSequence]) -> str:
     for seq in seqs:
         tokens = ", ".join(map(_QUOTED_NAMES.__getitem__, seq.tokens))
         lines.append(
-            f'{{"courseweek": {seq.courseweek}, "setup": "{seq.setup.value}", '
+            f'{{"courseweek": {seq.courseweek}, "setup": "{setup.value}", '
             f'"sid": {seq.student_id}, "tokens": [{tokens}], '
             f'"userweek": {seq.userweek}}}\n'
         )

@@ -13,8 +13,9 @@ norms and the dot products of RowDots: one BLAS product over a matrix's
 frequent columns, and an inverted index over its other nonzeros. A
 training-kernel column is one training row against the training rows;
 prediction scores a block of test rows at a time against the support
-vectors. Evaluation reports accuracy, Cohen's kappa and false negative rate
-with dropout as the positive class.
+vectors. ``evaluate`` returns accuracy, Cohen's kappa, false negative rate
+and the confusion counts, with dropout as the positive class, as the plain
+object eval writes to report.json.
 """
 
 from __future__ import annotations
@@ -415,27 +416,9 @@ def predict_all(model: TrainedModel, X: Csr) -> np.ndarray:
     return (decision_function(model, X) > 0).astype(int)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    tp: int
-    fn: int
-    fp: int
-    tn: int
-    accuracy: float
-    kappa: float
-    fnr: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "confusion": {"tp": self.tp, "fn": self.fn, "fp": self.fp, "tn": self.tn},
-            "accuracy": self.accuracy,
-            "kappa": self.kappa,
-            "fnr": self.fnr,
-        }
-
-
-def evaluate(predictions: Sequence[int], labels: Sequence[int]) -> EvalReport:
-    """Confusion-matrix metrics with dropout (label 1) as the positive class."""
+def evaluate(predictions: Sequence[int], labels: Sequence[int]) -> dict:
+    """Confusion-matrix metrics with dropout (label 1) as the positive class:
+    ``{"confusion": {"tp", "fn", "fp", "tn"}, "accuracy", "kappa", "fnr"}``."""
     if len(predictions) != len(labels):
         raise ValueError("predictions and labels differ in length")
     if not labels:
@@ -453,7 +436,12 @@ def evaluate(predictions: Sequence[int], labels: Sequence[int]) -> EvalReport:
     p_e = p_yes + p_no
     kappa = 0.0 if p_e == 1.0 else (accuracy - p_e) / (1.0 - p_e)
     fnr = fn / (fn + tp) if (fn + tp) > 0 else 0.0
-    return EvalReport(tp, fn, fp, tn, accuracy, kappa, fnr)
+    return {
+        "confusion": {"tp": tp, "fn": fn, "fp": fp, "tn": tn},
+        "accuracy": accuracy,
+        "kappa": kappa,
+        "fnr": fnr,
+    }
 
 
 def paired_ttest(

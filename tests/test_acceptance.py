@@ -111,15 +111,16 @@ def test_criterion_4_metric_formulas():
         predictions = [1] * 40 + [0] * 10 + [1] * 20 + [0] * 30
         labels = [1] * 50 + [0] * 50
         report = svm.evaluate(predictions, labels)
-        assert abs(report.accuracy - 0.7) < 1e-12
-        assert abs(report.kappa - 0.4) < 1e-12
-        assert abs(report.fnr - 0.2) < 1e-12
+        assert abs(report["accuracy"] - 0.7) < 1e-12
+        assert abs(report["kappa"] - 0.4) < 1e-12
+        assert abs(report["fnr"] - 0.2) < 1e-12
 
         constant = svm.evaluate([0] * 100, [1] * 15 + [0] * 85)
-        assert constant.kappa == 0.0
+        assert constant["kappa"] == 0.0
 
-        identified_pct = 100.0 * report.tp / (report.tp + report.fn)
-        assert abs(identified_pct - 100.0 * (1.0 - report.fnr)) < 1e-12
+        tp, fn = report["confusion"]["tp"], report["confusion"]["fn"]
+        identified_pct = 100.0 * tp / (tp + fn)
+        assert abs(identified_pct - 100.0 * (1.0 - report["fnr"])) < 1e-12
 
 
 def test_criterion_5_svm_correctness():
@@ -157,8 +158,8 @@ def test_criterion_5_svm_correctness():
         weighted = svm.fit_svm(
             csr(X_tr), y_tr, svm.SvmParams(C=1.0, gamma=0.5, class_cost={0: 1.0, 1: 19.0})
         )
-        fnr_uniform = svm.evaluate(list(svm.predict_all(uniform, csr(X_ev))), list(y_ev)).fnr
-        fnr_weighted = svm.evaluate(list(svm.predict_all(weighted, csr(X_ev))), list(y_ev)).fnr
+        fnr_uniform = svm.evaluate(list(svm.predict_all(uniform, csr(X_ev))), list(y_ev))["fnr"]
+        fnr_weighted = svm.evaluate(list(svm.predict_all(weighted, csr(X_ev))), list(y_ev))["fnr"]
         assert fnr_weighted < fnr_uniform
 
 
@@ -202,7 +203,7 @@ def test_criterion_7_end_to_end_synthetic():
         started = time.monotonic()
 
         predictions, labels = _run_pipeline(signal=0.8)
-        kappa = svm.evaluate(predictions, labels).kappa
+        kappa = svm.evaluate(predictions, labels)["kappa"]
         assert kappa > 0
 
         rng = random.Random(2024)
@@ -211,13 +212,13 @@ def test_criterion_7_end_to_end_synthetic():
         shuffled = list(labels)
         for _ in range(n_permutations):
             rng.shuffle(shuffled)
-            if svm.evaluate(predictions, shuffled).kappa >= kappa:
+            if svm.evaluate(predictions, shuffled)["kappa"] >= kappa:
                 exceeded += 1
         p_value = (1 + exceeded) / (1 + n_permutations)
         assert p_value < 0.01, f"kappa {kappa:.3f} not significant (p={p_value:.3f})"
 
         predictions0, labels0 = _run_pipeline(signal=0.0)
-        kappa0 = svm.evaluate(predictions0, labels0).kappa
+        kappa0 = svm.evaluate(predictions0, labels0)["kappa"]
         assert abs(kappa0) < 0.1, f"null-signal kappa {kappa0:.3f}"
 
         elapsed = time.monotonic() - started

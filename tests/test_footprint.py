@@ -78,7 +78,8 @@ class TestTcurrSequences:
         curr = fp.build_curr_sequences(make_events(1, {1: [T.PL], 2: [T.PA]}), COURSE_START)
         tcurr = fp.build_tcurr_sequences(curr)
         assert [t.name for t in tcurr[(1, 2)].tokens] == ["PL", "PA"]
-        assert tcurr[(1, 2)].setup == fp.Setup.TCURR
+        line = fp.sequences_to_jsonl([tcurr[(1, 2)]], fp.Setup.TCURR)
+        assert json.loads(line)["setup"] == "tcurr"
 
     def test_single_week_equals_curr(self):
         curr = fp.build_curr_sequences(make_events(1, {2: [T.PL, T.PA]}), COURSE_START)
@@ -101,9 +102,9 @@ class TestNominalActivityType:
     @pytest.mark.parametrize(
         "tokens,expected",
         [
-            ([T.PL, T.PA], fp.NominalActivityType.VIDEO_ONLY),
-            ([T.PL, T.Vf], fp.NominalActivityType.BOTH),
-            ([T.Vt, T.Po], fp.NominalActivityType.FORUM_ONLY),
+            ([T.PL, T.PA], "video_only"),
+            ([T.PL, T.Vf], "both"),
+            ([T.Vt, T.Po], "forum_only"),
         ],
     )
     def test_classification(self, tokens, expected):
@@ -154,13 +155,13 @@ class TestFootprintProperties:
         assert curr_a == curr_b
 
 
-def sequence_json_obj(seq):
+def sequence_json_obj(seq, setup):
     """The object each sequences.jsonl line encodes, for json.dumps to write."""
     return {
         "sid": seq.student_id,
         "courseweek": seq.courseweek,
         "userweek": seq.userweek,
-        "setup": seq.setup.value,
+        "setup": setup.value,
         "tokens": [t.name for t in seq.tokens],
     }
 
@@ -168,7 +169,7 @@ def sequence_json_obj(seq):
 class TestJsonExport:
     def test_shape(self):
         curr = fp.build_curr_sequences(make_events(9, {2: [T.PL, T.Vf]}), COURSE_START)
-        text = fp.sequences_to_jsonl([curr[(9, 2)]])
+        text = fp.sequences_to_jsonl([curr[(9, 2)]], fp.Setup.CURR)
         assert text.count("\n") == 1 and text.endswith("\n")
         assert json.loads(text) == {
             "sid": 9,
@@ -183,10 +184,11 @@ class TestJsonExport:
         student_id=st.integers() | st.integers(min_value=2**63, max_value=2**200),
         courseweek=st.integers(),
         userweek=st.integers(),
-        setup=st.sampled_from(fp.Setup),
         tokens=st.lists(TOKENS, max_size=8).map(tuple),
-    ), max_size=4))
+    ), max_size=4), st.sampled_from(fp.Setup))
     @settings(max_examples=200, deadline=None)
-    def test_equals_sorted_json_dumps(self, seqs):
-        expected = "".join(json.dumps(sequence_json_obj(s), sort_keys=True) + "\n" for s in seqs)
-        assert fp.sequences_to_jsonl(seqs) == expected
+    def test_equals_sorted_json_dumps(self, seqs, setup):
+        expected = "".join(
+            json.dumps(sequence_json_obj(s, setup), sort_keys=True) + "\n" for s in seqs
+        )
+        assert fp.sequences_to_jsonl(seqs, setup) == expected

@@ -314,7 +314,7 @@ class TestCostSensitivity:
         )
         report_u = m.evaluate(list(m.predict_all(uniform, csr(X_ev))), list(y_ev))
         report_w = m.evaluate(list(m.predict_all(weighted, csr(X_ev))), list(y_ev))
-        assert report_w.fnr < report_u.fnr
+        assert report_w["fnr"] < report_u["fnr"]
 
     def test_default_cost_is_inverse_frequency(self):
         y = np.array([0] * 95 + [1] * 5)
@@ -328,23 +328,23 @@ class TestCostSensitivity:
 class TestEvaluate:
     def test_perfect_predictions(self):
         report = m.evaluate([1, 0, 1], [1, 0, 1])
-        assert (report.accuracy, report.kappa, report.fnr) == (1.0, 1.0, 0.0)
+        assert (report["accuracy"], report["kappa"], report["fnr"]) == (1.0, 1.0, 0.0)
 
     def test_formula_example(self):
         predictions = [1] * 40 + [0] * 10 + [1] * 20 + [0] * 30
         labels = [1] * 50 + [0] * 50
         report = m.evaluate(predictions, labels)
-        assert (report.tp, report.fn, report.fp, report.tn) == (40, 10, 20, 30)
-        assert report.accuracy == pytest.approx(0.7, abs=1e-12)
-        assert report.kappa == pytest.approx(0.4, abs=1e-12)
-        assert report.fnr == pytest.approx(0.2, abs=1e-12)
+        assert report["confusion"] == {"tp": 40, "fn": 10, "fp": 20, "tn": 30}
+        assert report["accuracy"] == pytest.approx(0.7, abs=1e-12)
+        assert report["kappa"] == pytest.approx(0.4, abs=1e-12)
+        assert report["fnr"] == pytest.approx(0.2, abs=1e-12)
 
     def test_constant_predictor_kappa_zero(self):
         report = m.evaluate([0] * 10, [1, 0, 0, 0, 0, 0, 0, 0, 0, 1])
-        assert report.kappa == 0.0
+        assert report["kappa"] == 0.0
 
     def test_no_positives_fnr_zero(self):
-        assert m.evaluate([0, 0], [0, 0]).fnr == 0.0
+        assert m.evaluate([0, 0], [0, 0])["fnr"] == 0.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(21)
@@ -359,8 +359,9 @@ class TestEvaluate:
 
     def test_fnr_footnote_consistency(self):
         report = m.evaluate([0, 1, 1, 0], [1, 1, 1, 0])
-        identified_pct = 100 - 100 * report.fnr
-        assert identified_pct == pytest.approx(100 * report.tp / (report.tp + report.fn))
+        identified_pct = 100 - 100 * report["fnr"]
+        tp, fn = report["confusion"]["tp"], report["confusion"]["fn"]
+        assert identified_pct == pytest.approx(100 * tp / (tp + fn))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -477,7 +478,7 @@ class TestTrainOnDataset:
         X = np.column_stack([y.astype(float), rng.normal(size=80)])
         model = m.fit_svm(csr(X), y, m.SvmParams(C=10.0, gamma=1.0))
         report = m.evaluate(list(m.predict_all(model, csr(X))), list(y))
-        assert report.accuracy >= 0.99
+        assert report["accuracy"] >= 0.99
 
 
 class TestSerialization:

@@ -15,4 +15,4 @@ def test_library_use_example_runs():
     assert namespace["metrics"].density == 2.0
     assert namespace["dot"].startswith("digraph activity {")
     assert len(namespace["scores"]) == len(namespace["y_test"]) > 0
-    assert namespace["report"].accuracy == 1.0
+    assert namespace["report"]["accuracy"] == 1.0
