@@ -6,8 +6,9 @@ and default, and ``build_config`` returns a plain dict of all of them. Each
 command registers only the flags it reads, while a config file may set any
 pipeline key, so one file serves every command. Every text input
 is decoded as strict UTF-8 from its bytes; a file that cannot be read or
-decoded exits 2 naming its path. Every command writes files atomically,
-exits nonzero on error, and puts a machine-readable JSON error on stderr.
+decoded exits 2 naming its path, and so does a file that cannot be
+written. Every command writes files atomically, exits nonzero on error, and
+puts a machine-readable JSON error on stderr.
 
 Each command loads only what its own work needs. ``mooctrace.model`` is the
 package's one numpy module. It is imported inside train, eval and report,
@@ -130,18 +131,23 @@ def _svm_params(cfg: dict) -> svm.SvmParams:
 
 
 def write_text_atomic(path: Path, text: str) -> None:
-    """Write through a unique temp file in the target's directory, then rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    """Write through a unique temp file in the target's directory, then rename;
+    a write that fails removes the temp file and exits 2 naming path."""
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> what open() would give
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise CommandError(EXIT_BAD_INPUT, f"cannot write {path}: {exc.strerror}") from exc
         raise
 
 
@@ -172,6 +178,16 @@ def _parsed(path: str, parse, *args):
         return parse(*args)
     except ValueError as exc:
         raise CommandError(EXIT_BAD_INPUT, f"{path}: {exc}") from exc
+
+
+def _parse_log_file(path: str, what: str, parse):
+    """parse over the lines of the file at path, read as bytes; a file that
+    cannot be read exits 2 naming its path."""
+    try:
+        with open(path, "rb") as fh:
+            return parse(fh)
+    except OSError as exc:
+        raise CommandError(EXIT_BAD_INPUT, f"cannot read {what} {path}: {exc.strerror}") from exc
 
 
 def _read_events(path: str):
@@ -207,13 +223,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    try:
-        with open(args.clicks, "rb") as fh:
-            raw_clicks, click_diags = parse_clickstream_log(fh)
-        with open(args.forum, "rb") as fh:
-            raw_forums, forum_diags = parse_forum_log(fh)
-    except OSError as exc:
-        raise CommandError(EXIT_BAD_INPUT, f"cannot read input: {exc}") from exc
+    raw_clicks, click_diags = _parse_log_file(args.clicks, "clickstream", parse_clickstream_log)
+    raw_forums, forum_diags = _parse_log_file(args.forum, "forum", parse_forum_log)
 
     valid_clicks = filter_valid_videos(raw_clicks, cfg["min_unique_viewers"])
     events, dropped_equal_rate = encode_events(valid_clicks, raw_forums)

@@ -40,12 +40,21 @@ class FootprintSequence:
 
 
 def assign_week(timestamp: float, course_start: float) -> int:
-    """Course week (1-based) containing a timestamp; week boundaries are exact."""
+    """Course week (1-based) containing a timestamp; week boundaries are exact.
+
+    A course_start that leaves the event no finite week (NaN, -inf, or so far
+    below the event that their distance overflows) raises a ValueError.
+    """
     if timestamp < course_start:
         raise ValueError(
             f"event at {timestamp} predates course start {course_start}"
         )
-    return int((timestamp - course_start) // SECONDS_PER_WEEK) + 1
+    try:
+        return int((timestamp - course_start) // SECONDS_PER_WEEK) + 1
+    except ValueError:  # int(nan)
+        raise ValueError(
+            f"course_start {course_start} leaves the event at {timestamp} no finite week"
+        ) from None
 
 
 def build_curr_sequences(

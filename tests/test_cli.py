@@ -89,6 +89,17 @@ class TestIngestCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == cli.EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("missing", ["clickstream", "forum"])
+    def test_unreadable_log_names_it(self, tmp_path, logs_dir, capsys, missing):
+        logs = {"clickstream": logs_dir / "clickstream.jsonl", "forum": logs_dir / "forum.jsonl"}
+        logs[missing] = tmp_path / "nope.jsonl"
+        code = run("ingest", "--clicks", logs["clickstream"], "--forum", logs["forum"],
+                   "--out-dir", tmp_path / "out")
+        assert code == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == f"cannot read {missing} {logs[missing]}: No such file or directory"
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_line_becomes_diagnostic(self, tmp_path):
         clicks = tmp_path / "clicks.jsonl"
         clicks.write_text(
@@ -285,6 +296,29 @@ class TestFeaturizeCommand:
         assert code == cli.EXIT_BAD_INPUT
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == f"{config} line 3: {message}"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["featurize", "report"])
+    @pytest.mark.parametrize("flag, config", [
+        ("--course-start=nan", None),
+        ("--course-start=-inf", None),
+        (None, "course_start = nan"),
+        (None, "course_start = -1e308"),  # 1e+308 - -1e308 overflows to inf
+    ])
+    def test_course_start_without_finite_week_exit_2(self, tmp_path, capsys, command,
+                                                      flag, config):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"sid": 1, "t": 5.0, "token": "PL"}\n'
+                          '{"sid": 1, "t": 1e+308, "token": "PA"}\n')
+        argv = [command, "--events", events, "--out-dir", tmp_path / "o"]
+        if flag:
+            argv.append(flag)
+        else:
+            (tmp_path / "run.cfg").write_text(config + "\n")
+            argv += ["--config", tmp_path / "run.cfg"]
+        assert run(*argv) == cli.EXIT_BAD_INPUT
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err.startswith("course_start ") and "no finite week" in err
         assert not (tmp_path / "o").exists()
 
     def test_negative_zero_t_goes_through(self, tmp_path):
@@ -861,6 +895,63 @@ class TestAtomicWrite:
         with pytest.raises(TypeError):
             cli.write_text_atomic(tmp_path / "out.txt", None)
         assert list(tmp_path.iterdir()) == []
+
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "out.txt").mkdir()  # os.replace cannot put a file there
+        with pytest.raises(cli.CommandError) as caught:
+            cli.write_text_atomic(tmp_path / "out.txt", "x")
+        assert caught.value.code == cli.EXIT_BAD_INPUT
+        assert str(caught.value).startswith(f"cannot write {tmp_path / 'out.txt'}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written exits 2 with a JSON error naming it."""
+
+    @pytest.mark.parametrize("command", ["synth", "ingest", "featurize", "train", "eval",
+                                         "report"])
+    def test_output_under_a_regular_file_exit_2(self, tmp_path, logs_dir, events_dir,
+                                                featurized_dir, capsys, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        feat = ["--features", featurized_dir / "features.json"]
+        model = tmp_path / "model.json"
+        assert run("train", "--train", featurized_dir / "train.txt", *feat, "--out", model) == 0
+        argv = {
+            "synth": ["--out-dir", blocker / "out"],
+            "ingest": ["--clicks", logs_dir / "clickstream.jsonl",
+                       "--forum", logs_dir / "forum.jsonl", "--out-dir", blocker / "out"],
+            "featurize": ["--events", events_dir / "events.jsonl", "--out-dir", blocker / "out"],
+            "train": ["--train", featurized_dir / "train.txt", *feat, "--out", blocker / "o" / "m.json"],
+            "eval": ["--model-file", model, "--test", featurized_dir / "test.txt", *feat,
+                     "--out", blocker / "o" / "report.json"],
+            "report": ["--events", events_dir / "events.jsonl", "--out-dir", blocker / "out"],
+        }[command]
+        capsys.readouterr()
+        assert run(command, *argv) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error = json.loads(err.splitlines()[-1])
+        assert error["code"] == cli.EXIT_BAD_INPUT
+        assert error["error"].startswith(f"cannot write {blocker}/")
+        assert error["error"].endswith(": Not a directory")
+
+    def test_report_week_past_file_name_limit_exit_2(self, tmp_path, capsys):
+        clicks = tmp_path / "clicks.jsonl"
+        clicks.write_text('{"sid": 1, "t": 1e+308, "vid": "v", "kind": "play"}\n'
+                          '{"sid": 1, "t": 5.0, "vid": "v", "kind": "pause"}\n')
+        forum = tmp_path / "forum.jsonl"
+        forum.write_text("")
+        assert run("ingest", "--clicks", clicks, "--forum", forum, "--out-dir", tmp_path,
+                   "--min-viewers", 1) == 0
+        capsys.readouterr()
+        # The week of t=1e+308 has 303 digits, so its DOT file name is too long.
+        code = run("report", "--events", tmp_path / "events.jsonl", "--out-dir", tmp_path / "r")
+        assert code == cli.EXIT_BAD_INPUT
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith(f"cannot write {tmp_path / 'r' / 'dot'}/s1_w")
+        assert error.endswith(": File name too long")
 
 
 class TestDeterminism:
