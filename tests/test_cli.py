@@ -896,7 +896,6 @@ class TestAtomicWrite:
             cli.write_text_atomic(tmp_path / "out.txt", None)
         assert list(tmp_path.iterdir()) == []
 
-
     def test_failed_rename_leaves_no_temp_file(self, tmp_path):
         (tmp_path / "out.txt").mkdir()  # os.replace cannot put a file there
         with pytest.raises(cli.CommandError) as caught:
