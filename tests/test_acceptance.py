@@ -399,6 +399,35 @@ def test_tcurr_sequences_pinned(tmp_path, snippet_events):
     assert _sha256((tmp_path / "sequences.jsonl").read_bytes()) == _TCURR_SEQUENCES_SHA256
 
 
+# The featurize artifacts of the same events under the TCurr setup, for each
+# model family: cumulative sequences give longer n-gram rows and graphs.
+_TCURR_FEATURIZE_SHA256 = {
+    "baseline": {
+        "train.txt": "b1bfb706e9aa417f6452d50bf9e30e51efb86bf8b2be98256fbd7f91c45febf5",
+        "test.txt": "891406712e97ddb658021fd6773a22d656454df6deae143b706ee81883158f6f",
+        "features.json": "5447156d488f11b8e9fe2f540b88b095a97e852a9826b73318c88cc09377fb94",
+    },
+    "graph": {
+        "train.txt": "6a21a5f57f59ea7387a88005c91f608e67f1f8116f167ea5af11aaa974212442",
+        "test.txt": "709dc367af0b6c678c6a7dea9dc7ff8f8ebcbd626801f7b2e2ba75b97e8089be",
+        "features.json": "809df232b251148760e464f7fadd6193ce9f69f64f02326637705ce6eb85c36f",
+    },
+    "combined": {
+        "train.txt": "798285ad0ec72f8f85c538b995682e8cd697a6a642fd2f5c1a91a1e0d88eebdf",
+        "test.txt": "524e517da31e5295855a8a3fae31f5f5596430380bf01aa592fa814c394dbb77",
+        "features.json": "57b3b406bfe06cb774a4b303b3620a96988c21af12526472846f7e55a6f720bd",
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(_TCURR_FEATURIZE_SHA256))
+def test_tcurr_featurize_artifacts_pinned(tmp_path, snippet_events, family):
+    assert cli.main(["featurize", "--events", str(snippet_events), "--out-dir", str(tmp_path),
+                     "--setup", "tcurr", "--model", family]) == 0
+    expected = _TCURR_FEATURIZE_SHA256[family]
+    assert {name: _sha256((tmp_path / name).read_bytes()) for name in expected} == expected
+
+
 def test_eval_reports_pinned(tmp_path, snippet_events):
     feat = tmp_path / "feat"
     assert cli.main(["featurize", "--events", str(snippet_events), "--out-dir", str(feat),
