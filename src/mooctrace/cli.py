@@ -256,14 +256,14 @@ def cmd_featurize(args: argparse.Namespace) -> int:
         raise CommandError(EXIT_EMPTY_EVENTS, "event store is empty")
 
     sequences = _build_sequences(events, cfg)
-    train, test = features.assemble_dataset(
+    train, test, keys = features.assemble_dataset(
         sequences, cfg["model"], (cfg["test_id_min"], cfg["test_id_max"])
     )
-    index, train, test = features.finalize_split(train, test, cfg["rare_threshold"])
+    index, train, test = features.finalize_split(train, test, keys, cfg["rare_threshold"])
 
     out = Path(args.out_dir)
-    write_text_atomic(out / "train.txt", features.export_sparse(train, index))
-    write_text_atomic(out / "test.txt", features.export_sparse(test, index))
+    write_text_atomic(out / "train.txt", features.export_sparse(train))
+    write_text_atomic(out / "test.txt", features.export_sparse(test))
     write_text_atomic(out / "features.json", json.dumps(index, sort_keys=True, indent=0) + "\n")
     splits = {"train": train, "test": test}
     for name, rows in splits.items():

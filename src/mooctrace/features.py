@@ -5,33 +5,46 @@ families share the control variables: Baseline carries n-grams plus
 active/passive proportions, Graph carries structural graph metrics,
 Combined is their union.
 
-assemble_dataset builds the raw feature rows as plain train and test lists,
-putting each row on its side by student id as it builds it; finalize_split
-makes them model-ready in one pass. It fits one table of dichotomizers and
+Featurize works on integers and builds a feature's name only when the
+feature gets a column. A feature is known by three things:
+- its key: the name of a named feature ("ctl:", "prop:" and "graph:"), or
+  the code of an n-gram. An n-gram's code has the digits t + 1 of its
+  tokens t in base 16, so no two windows share a code, whatever their
+  lengths; _feature_name decodes a code to its "ng:PL_PA" name.
+- its id: assemble_dataset numbers each key once per run, keys raw rows by
+  id and returns the keys in id order.
+- its column: finalize_split numbers the kept features in sorted name order
+  and keys finalized rows by column; its index maps each kept name to its
+  column.
+
+assemble_dataset builds the raw rows as plain train and test lists, putting
+each row on its side by student id as it builds it; finalize_split makes
+them model-ready in one pass. It fits one table of dichotomizers and
 min-max scalers, the same for every family, on the training rows only, then
-transforms each training row once, counts feature support over those rows,
-keeps the controls and the names that meet the rare threshold, and projects
-every train and test row onto that index as it builds it. Each of those maps
-is a plain function from fit_value_map, which report's analysis also uses.
-export_sparse writes finalized rows against the index as `label idx:val`
-text, and read_sparse parses that text into a model.Csr matrix and a list of
-labels. Only read_sparse, which train and eval call, imports model and so numpy.
+transforms each training row once, counts support per id over those rows,
+keeps the controls and the ids that meet the rare threshold, names only
+those, and projects every train and test row onto their columns. Each of
+those maps is a plain function from fit_value_map, which report's analysis
+also uses. export_sparse writes finalized rows as `label idx:val` text,
+formatting each distinct item once, and read_sparse parses that text into
+a model.Csr matrix and a list of labels. Only read_sparse, which train and
+eval call, imports model and so numpy.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, count
 from typing import Callable, Sequence
 
 from mooctrace.events import (
     ACTIVE_FORUM,
     ACTIVE_VIDEO,
-    FORUM_TOKENS,
     PASSIVE_FORUM,
     PASSIVE_VIDEO,
-    VIDEO_TOKENS,
+    ActivityToken,
 )
 from mooctrace.footprint import FootprintSequence, nominal_activity_type
 
@@ -63,19 +76,39 @@ GRAPH_SCALED = ("graph:num_scc",)
 @dataclass(frozen=True)
 class FeatureVector:
     instance_id: tuple[int, int]  # (student_id, courseweek)
-    features: dict[str, float]    # sparse: absent means 0.0
+    # Sparse, only nonzero values: keyed by feature id in a raw row, by column
+    # once finalized. N-gram counts stay ints.
+    features: dict[int, float]
     label: int
 
 
-def ngram_features(tokens) -> dict[str, int]:
-    """Counts of contiguous n-token windows for each n in 2..5."""
-    names = [t.name for t in tokens]
-    counts: dict[str, int] = {}
-    for n in range(2, 6):
-        for i in range(len(names) - n + 1):
-            name = "ng:" + "_".join(names[i : i + n])
-            counts[name] = counts.get(name, 0) + 1
-    return counts
+def ngram_features(tokens) -> dict[int, int]:
+    """Counts of contiguous n-token windows for each n in 2..5, by n-gram code."""
+    digits = [t + 1 for t in tokens]
+    codes, windows = digits, []
+    for n in range(1, 5):
+        codes = [16 * code + digit for code, digit in zip(codes, digits[n:])]
+        windows += codes
+    return Counter(windows)
+
+
+_TOKEN_NAMES = [t.name for t in ActivityToken]
+
+
+def _feature_name(key: str | int) -> str:
+    """The name of a feature key: a name is its own, an n-gram code decodes."""
+    if isinstance(key, str):
+        return key
+    names = []
+    while key:
+        key, digit = divmod(key, 16)
+        names.append(_TOKEN_NAMES[digit - 1])
+    return "ng:" + "_".join(reversed(names))
+
+
+# Each token's part, as the position of its proportion in PROP_FEATURES.
+_PROP_PARTS = (ACTIVE_VIDEO, PASSIVE_VIDEO, ACTIVE_FORUM, PASSIVE_FORUM)
+_PROP_PART = [next(k for k, part in enumerate(_PROP_PARTS) if t in part) for t in ActivityToken]
 
 
 def active_passive_proportions(tokens) -> tuple[float, float, float, float]:
@@ -85,13 +118,13 @@ def active_passive_proportions(tokens) -> tuple[float, float, float, float]:
     tokens only; a source with no tokens yields (0, 0) for its pair (the
     nominal control variable carries the which-source-present signal).
     """
-    counts = Counter(tokens)
-    n_video = sum(counts[t] for t in VIDEO_TOKENS)
-    n_forum = sum(counts[t] for t in FORUM_TOKENS)
+    counts = [0, 0, 0, 0]
+    for t in tokens:
+        counts[_PROP_PART[t]] += 1
+    va, vp, fa, fp = counts
+    n_video, n_forum = va + vp, fa + fp
     return tuple(
-        sum(counts[t] for t in part) / n if n else 0.0
-        for part, n in ((ACTIVE_VIDEO, n_video), (PASSIVE_VIDEO, n_video),
-                        (ACTIVE_FORUM, n_forum), (PASSIVE_FORUM, n_forum))
+        k / n if n else 0.0 for k, n in ((va, n_video), (vp, n_video), (fa, n_forum), (fp, n_forum))
     )
 
 
@@ -119,37 +152,37 @@ def fit_value_map(values: Sequence[float], strategy: str | None) -> Callable[[fl
 
 
 def _instance_features(
-    seq: FootprintSequence, model_family: ModelFamily
-) -> dict[str, float]:
-    feats: dict[str, float] = {
-        "ctl:courseweek": float(seq.courseweek),
-        "ctl:userweek": float(seq.userweek),
-        "ctl:seq_length": float(len(seq.tokens)),
-        f"ctl:nominal={nominal_activity_type(seq.tokens)}": 1.0,
+    seq: FootprintSequence, model_family: ModelFamily, ids: dict[str | int, int]
+) -> dict[int, float]:
+    """One raw row, keyed by the id that ids gives each feature key."""
+    feats = {
+        ids["ctl:courseweek"]: float(seq.courseweek),
+        ids["ctl:userweek"]: float(seq.userweek),
+        ids["ctl:seq_length"]: float(len(seq.tokens)),
+        ids[f"ctl:nominal={nominal_activity_type(seq.tokens)}"]: 1.0,
     }
     if model_family in (ModelFamily.BASELINE, ModelFamily.COMBINED):
-        for name, count in ngram_features(seq.tokens).items():
-            feats[name] = float(count)
-        va, vp, fa, fp = active_passive_proportions(seq.tokens)
-        for name, value in zip(PROP_FEATURES, (va, vp, fa, fp)):
+        for code, n in ngram_features(seq.tokens).items():
+            feats[ids[code]] = n
+        for name, value in zip(PROP_FEATURES, active_passive_proportions(seq.tokens)):
             if value:
-                feats[name] = value
+                feats[ids[name]] = value
     if model_family in (ModelFamily.GRAPH, ModelFamily.COMBINED):
         from mooctrace import actgraph  # here, so that baseline features never load it
 
         metrics = actgraph.compute_metrics(actgraph.build_graph(seq.tokens))
-        feats["graph:num_nodes"] = float(metrics.num_nodes)
-        feats["graph:num_edges"] = float(metrics.num_edges)
+        feats[ids["graph:num_nodes"]] = float(metrics.num_nodes)
+        feats[ids["graph:num_edges"]] = float(metrics.num_edges)
         if metrics.density:
-            feats["graph:density"] = metrics.density
+            feats[ids["graph:density"]] = metrics.density
         if metrics.num_self_loops:
-            feats["graph:num_self_loops"] = float(metrics.num_self_loops)
-        feats["graph:num_scc"] = float(metrics.num_scc)
+            feats[ids["graph:num_self_loops"]] = float(metrics.num_self_loops)
+        feats[ids["graph:num_scc"]] = float(metrics.num_scc)
         for rank, (token, _) in enumerate(metrics.top_indegree, start=1):
-            feats[f"graph:top{rank}={token.name}"] = 1.0
+            feats[ids[f"graph:top{rank}={token.name}"]] = 1.0
         if metrics.central_transition is not None:
             (u, v), _ = metrics.central_transition
-            feats[f"graph:central_transition={u.name}_{v.name}"] = 1.0
+            feats[ids[f"graph:central_transition={u.name}_{v.name}"]] = 1.0
     return feats
 
 
@@ -165,32 +198,33 @@ def assemble_dataset(
     sequences: dict[tuple[int, int], FootprintSequence],
     model_family: ModelFamily,
     test_id_range: tuple[int, int],
-) -> tuple[list[FeatureVector], list[FeatureVector]]:
-    """Labeled instances with raw (pre-transform) feature values, as (train, test).
+) -> tuple[list[FeatureVector], list[FeatureVector], list[str | int]]:
+    """Labeled instances with raw (pre-transform) feature values, as (train, test, keys).
 
-    Students with id inside test_id_range, (min, max) inclusive, form the test
-    split. The dropout label is 1 exactly on each student's last
-    participation week. Dichotomization and scaling happen later, fitted on
-    the train split (see finalize_split).
+    Rows are keyed by feature id, and keys[id] is that feature's key: its
+    name, or an n-gram's code. Students with id inside test_id_range, (min,
+    max) inclusive, form the test split. The dropout label is 1 exactly on
+    each student's last participation week. Dichotomization and scaling
+    happen later, fitted on the train split (see finalize_split).
     """
     test_id_min, test_id_max = test_id_range
     if test_id_min > test_id_max:
         raise ValueError("test_id_min must be <= test_id_max")
     labels = dropout_labels(sequences)
+    ids: dict[str | int, int] = defaultdict(count().__next__)  # a new key gets the next id
     train, test = [], []
     for sid, week in sorted(sequences):
         fv = FeatureVector(
             (sid, week),
-            _instance_features(sequences[(sid, week)], model_family),
+            _instance_features(sequences[(sid, week)], model_family, ids),
             labels[(sid, week)],
         )
         (test if test_id_min <= sid <= test_id_max else train).append(fv)
-    return train, test
+    return train, test, list(ids)
 
 
 # How finalize_split maps each raw value: dichotomized by the named strategy,
-# or min-max scaled (None). Every other name keeps its value. A name that no
-# row of a family carries gets a map that is never applied.
+# or min-max scaled (None). Every other feature keeps its value.
 _TRANSFORMS = {
     **dict.fromkeys(PROP_FEATURES, "equal_width"),
     **dict.fromkeys(GRAPH_EQ_FREQ, "equal_frequency"),
@@ -198,63 +232,79 @@ _TRANSFORMS = {
 }
 
 
-def _fit_value_maps(train: list[FeatureVector]) -> dict[str, Callable[[float], float]]:
-    """The _TRANSFORMS value maps fitted on train, by name."""
-    return {
-        name: fit_value_map([fv.features.get(name, 0.0) for fv in train], strategy)
-        for name, strategy in _TRANSFORMS.items()
-    } if train else {}
-
-
 def finalize_split(
-    train: list[FeatureVector], test: list[FeatureVector], rare_threshold: int = 4
+    train: list[FeatureVector],
+    test: list[FeatureVector],
+    keys: Sequence[str | int],
+    rare_threshold: int = 4,
 ) -> tuple[dict[str, int], list[FeatureVector], list[FeatureVector]]:
     """Transform both splits with train-fitted maps and project them onto one index.
 
-    Returns (index, train, test). The value maps are fitted on train only.
-    A feature is kept when it is a control ("ctl:") or nonzero in at least
-    `rare_threshold` transformed training instances; the index numbers the
-    kept names in sorted order. Finalized rows hold only indexed nonzero
-    values.
+    Takes raw rows keyed by feature id and the keys of those ids (see
+    assemble_dataset). Returns (index, train, test). The value maps are
+    fitted on train only. A feature is kept when it is a control ("ctl:") or
+    nonzero in at least `rare_threshold` transformed training instances; the
+    index numbers the kept names in sorted order. Finalized rows are keyed by
+    index column and hold only kept nonzero values.
     """
     if rare_threshold < 0:
         raise ValueError("threshold must be >= 0")
-    maps = _fit_value_maps(train)
+    maps = [
+        (i, fit_value_map([fv.features.get(i, 0.0) for fv in train], _TRANSFORMS[key]))
+        for i, key in enumerate(keys)
+        if key in _TRANSFORMS
+    ] if train else []
 
-    def transform(features: dict[str, float]) -> dict[str, float]:
-        row = {}
-        for name, value in features.items():
-            if name in maps:
-                value = maps[name](value)
-            if value:
-                row[name] = value
+    def transform(features: dict[int, float]) -> dict[int, float]:
+        row = dict(features)
+        for i, value_map in maps:
+            if i in row:
+                value = value_map(row[i])
+                if value:
+                    row[i] = value
+                else:
+                    del row[i]
         return row
 
     train_rows = [transform(fv.features) for fv in train]
-    support = Counter(name for row in train_rows for name in row)
-    kept = (n for n, k in support.items() if n.startswith("ctl:") or k >= rare_threshold)
-    index = {name: i for i, name in enumerate(sorted(kept))}
+    support = Counter(chain.from_iterable(train_rows))
+    kept = sorted(
+        (_feature_name(keys[i]), i)
+        for i, k in support.items()
+        if k >= rare_threshold or isinstance(keys[i], str) and keys[i].startswith("ctl:")
+    )
+    index = {name: col for col, (name, _) in enumerate(kept)}
+    column = {i: col for col, (_, i) in enumerate(kept)}
+
+    def project(row: dict[int, float]) -> dict[int, float]:
+        return {column[i]: v for i, v in row.items() if i in column}
+
     train_out = [
-        FeatureVector(fv.instance_id, {n: v for n, v in row.items() if n in index}, fv.label)
+        FeatureVector(fv.instance_id, project(row), fv.label)
         for fv, row in zip(train, train_rows)
     ]
     test_out = [
-        FeatureVector(
-            fv.instance_id,
-            {n: v for n, v in transform(fv.features).items() if n in index},
-            fv.label,
-        )
+        FeatureVector(fv.instance_id, project(transform(fv.features)), fv.label)
         for fv in test
     ]
     return index, train_out, test_out
 
 
-def export_sparse(instances: list[FeatureVector], index: dict[str, int]) -> str:
-    """One instance per line: `label idx:val ...` with ascending indices."""
+def export_sparse(instances: list[FeatureVector]) -> str:
+    """One finalized instance per line: `label idx:val ...` with ascending indices.
+
+    Each value prints as a float, and each distinct (idx, val) item is
+    formatted once.
+    """
+    texts: dict[tuple[int, float], str] = {}
     lines = []
     for fv in instances:
-        cols = sorted((index[n], v) for n, v in fv.features.items())
-        parts = [str(fv.label)] + [f"{i}:{v!r}" for i, v in cols]
+        parts = [str(fv.label)]
+        for item in sorted(fv.features.items()):
+            text = texts.get(item)
+            if text is None:
+                text = texts[item] = f"{item[0]}:{float(item[1])!r}"
+            parts.append(text)
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
 

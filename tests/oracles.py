@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to check the fast implementations.
 
-Everything here deliberately avoids the algorithms it verifies: SCC counts
-come from reachability closure, betweenness from explicit enumeration of
-every shortest path, the SVM dual from a generic constrained QP solver, and
-RBF decision values from explicit differences, one kernel value at a time.
+Everything here deliberately avoids the algorithms it verifies: n-gram
+counts come from joined token names, SCC counts from pairwise mutual
+reachability, betweenness from explicit enumeration of every shortest path,
+the SVM dual from a generic constrained QP solver, and RBF decision values
+from explicit differences, one kernel value at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +33,17 @@ def dense(matrix: Csr) -> np.ndarray:
     rows = np.repeat(np.arange(len(matrix)), np.diff(matrix.indptr))
     out[rows, matrix.indices] = matrix.data
     return out
+
+
+def ngram_counts_bruteforce(tokens) -> dict[str, int]:
+    """Counts of every contiguous window of 2..5 tokens, by "ng:" name."""
+    names = [t.name for t in tokens]
+    counts: dict[str, int] = {}
+    for n in range(2, 6):
+        for i in range(len(names) - n + 1):
+            name = "ng:" + "_".join(names[i : i + n])
+            counts[name] = counts.get(name, 0) + 1
+    return counts
 
 
 def scc_count_bruteforce(nodes, edges) -> int:

@@ -191,9 +191,9 @@ def _run_pipeline(signal, seed=7, n_students=1000):
                              (798619, 1882807)),
         4,
     )
-    X, y = ft.read_sparse(ft.export_sparse(train, index), len(index))
+    X, y = ft.read_sparse(ft.export_sparse(train), len(index))
     model = svm.fit_svm(X, y, svm.SvmParams(seed=seed))
-    X_test, y_test = ft.read_sparse(ft.export_sparse(test, index), len(index))
+    X_test, y_test = ft.read_sparse(ft.export_sparse(test), len(index))
     predictions = list(svm.predict_all(model, X_test))
     return predictions, list(y_test)
 

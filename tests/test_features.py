@@ -10,15 +10,28 @@ from mooctrace.footprint import (
     build_curr_sequences,
     build_tcurr_sequences,
 )
-from oracles import dense
+from oracles import dense, ngram_counts_bruteforce
 
 COURSE_START = 0.0
 MIXED_WEEK_SEQ = [T.PL, T.PA, T.FW, T.RCI, T.PA, T.Vf, T.Po]
 
 
+def ngram_names(tokens):
+    """ngram_features of tokens, with each code decoded to its name."""
+    return {ft._feature_name(code): n for code, n in ft.ngram_features(tokens).items()}
+
+
+def by_name(rows, names):
+    """rows with each feature id or column k replaced by names[k]."""
+    return [
+        ft.FeatureVector(fv.instance_id, {names[k]: v for k, v in fv.features.items()}, fv.label)
+        for fv in rows
+    ]
+
+
 class TestNgramFeatures:
     def test_three_token_sequence(self):
-        counts = ft.ngram_features([T.PL, T.PA, T.FW])
+        counts = ngram_names([T.PL, T.PA, T.FW])
         assert counts == {"ng:PL_PA": 1, "ng:PA_FW": 1, "ng:PL_PA_FW": 1}
 
     def test_single_token_empty(self):
@@ -29,7 +42,7 @@ class TestNgramFeatures:
         assert sum(counts.values()) == 6 + 5 + 4 + 3
 
     def test_repeats_counted(self):
-        counts = ft.ngram_features([T.Vt, T.Po, T.Vt, T.Po])
+        counts = ngram_names([T.Vt, T.Po, T.Vt, T.Po])
         bigrams = {name: c for name, c in counts.items() if name.count("_") == 1}
         assert bigrams == {"ng:Vt_Po": 2, "ng:Po_Vt": 1}
 
@@ -40,6 +53,23 @@ class TestNgramFeatures:
             tokens = [rng.choice(list(T)) for _ in range(length)]
             total = sum(ft.ngram_features(tokens).values())
             assert total == (length - 1) + (length - 2) + (length - 3) + (length - 4)
+
+    def test_codes_never_collide(self):
+        # Two windows sharing a code keep the total count, so every count is
+        # compared. PL is token 0, so runs of it catch a code that drops
+        # leading zero digits.
+        assert ngram_names([T.PL, T.PA]) == {"ng:PL_PA": 1}
+        assert ngram_names([T.PL, T.PL, T.PA]) == {"ng:PL_PL": 1, "ng:PL_PA": 1,
+                                                   "ng:PL_PL_PA": 1}
+        rng = random.Random(21)
+        for _ in range(300):
+            tokens = []
+            length = rng.randint(0, 40)
+            while len(tokens) < length:
+                token = T.PL if rng.random() < 0.5 else rng.choice(list(T))
+                tokens += [token] * rng.randint(1, 10)
+            tokens = tokens[:length]
+            assert ngram_names(tokens) == ngram_counts_bruteforce(tokens)
 
 
 class TestProportions:
@@ -124,9 +154,9 @@ TEST_IDS = (798619, 1882807)
 
 
 def assemble_all(sequences, family):
-    """Every assembled instance: the train split, then the test split."""
-    train, test = ft.assemble_dataset(sequences, family, TEST_IDS)
-    return train + test
+    """Every assembled instance by feature name: the train split, then the test split."""
+    train, test, keys = ft.assemble_dataset(sequences, family, TEST_IDS)
+    return by_name(train + test, [ft._feature_name(key) for key in keys])
 
 
 class TestSequenceLength:
@@ -192,7 +222,7 @@ class TestSplitByStudent:
         curr, tcurr = build_sequences(
             {5: {1: [T.PL]}, 800000: {1: [T.PA], 2: [T.Vt]}}
         )
-        train, test = ft.assemble_dataset(curr, ft.ModelFamily.BASELINE, TEST_IDS)
+        train, test, _ = ft.assemble_dataset(curr, ft.ModelFamily.BASELINE, TEST_IDS)
         assert {fv.instance_id[0] for fv in train} == {5}
         assert {fv.instance_id[0] for fv in test} == {800000}
 
@@ -209,7 +239,7 @@ class TestSplitByStudent:
         }
         curr, tcurr = build_sequences(layout)
         lo, hi = 500_000, 1_500_000
-        train, test = ft.assemble_dataset(curr, ft.ModelFamily.BASELINE, (lo, hi))
+        train, test, _ = ft.assemble_dataset(curr, ft.ModelFamily.BASELINE, (lo, hi))
         train_ids = {fv.instance_id[0] for fv in train}
         test_ids = {fv.instance_id[0] for fv in test}
         assert not train_ids & test_ids
@@ -218,22 +248,23 @@ class TestSplitByStudent:
 
 class TestRareThreshold:
     def finalized_train(self, supports, threshold):
-        """Train split finalized with an empty test split.
+        """Train split finalized with an empty test split, by feature name.
 
         Feature ng:f{k} is 1.0 in `supports[k]` of the instances; ctl:courseweek
         is positive in all of them and scales to 0.0 (dropped) in the first.
         """
+        keys = ["ctl:courseweek", *(f"ng:f{k}" for k in range(len(supports)))]
         n = max(supports) + 1
         instances = []
         for row in range(n):
-            feats = {"ctl:courseweek": float(row + 1)}
+            feats = {0: float(row + 1)}
             for k, support in enumerate(supports):
                 if row < support:
-                    feats[f"ng:f{k}"] = 1.0
+                    feats[k + 1] = 1.0
             instances.append(ft.FeatureVector((row, 1), feats, row % 2))
-        index, train, test = ft.finalize_split(instances, [], threshold)
+        index, train, test = ft.finalize_split(instances, [], keys, threshold)
         assert test == []
-        return instances, index, train
+        return by_name(instances, keys), index, by_name(train, list(index))
 
     def test_support_threshold(self):
         _, index, train = self.finalized_train(list(range(1, 11)), 4)
@@ -283,18 +314,18 @@ class TestFinalizeSplit:
         assert list(index.values()) == list(range(len(index)))
         assert list(index) == sorted(index)
         for fv in train + test:
-            assert set(fv.features) <= set(index)
+            assert set(fv.features) <= set(index.values())
 
     def test_dichotomized_values_binary(self):
-        _, train, test = self.finalized()
+        index, train, test = self.finalized()
         for rows in (train, test):
-            for fv in rows:
+            for fv in by_name(rows, list(index)):
                 for name in ft.PROP_FEATURES + ft.GRAPH_EQ_FREQ:
                     assert fv.features.get(name, 0.0) in (0.0, 1.0)
 
     def test_scaled_features_within_unit_interval_on_train(self):
-        _, train, _ = self.finalized()
-        for fv in train:
+        index, train, _ = self.finalized()
+        for fv in by_name(train, list(index)):
             for name in ft.CTL_SCALED + ft.GRAPH_SCALED:
                 assert 0.0 <= fv.features.get(name, 0.0) <= 1.0
 
@@ -314,8 +345,9 @@ class TestFinalizeSplit:
     def test_export_reproducible(self):
         index_a, train_a, test_a = self.finalized()
         index_b, train_b, test_b = self.finalized()
-        assert ft.export_sparse(train_a, index_a) == ft.export_sparse(train_b, index_b)
-        assert ft.export_sparse(test_a, index_a) == ft.export_sparse(test_b, index_b)
+        assert index_a == index_b
+        assert ft.export_sparse(train_a) == ft.export_sparse(train_b)
+        assert ft.export_sparse(test_a) == ft.export_sparse(test_b)
 
     CTL_NAMES = [
         "ctl:courseweek", "ctl:nominal=both", "ctl:nominal=forum_only",
@@ -360,8 +392,8 @@ class TestFinalizeSplit:
             *ft.assemble_dataset(curr, family, TEST_IDS), rare_threshold=2
         )
         train_text, test_text, names = self.GOLDEN[family]
-        assert ft.export_sparse(train, index) == train_text
-        assert ft.export_sparse(test, index) == test_text
+        assert ft.export_sparse(train) == train_text
+        assert ft.export_sparse(test) == test_text
         assert index == {name: i for i, name in enumerate(names)}
 
 
@@ -371,10 +403,10 @@ class TestMatrixRoundTrip:
         index, train, test = ft.finalize_split(
             *ft.assemble_dataset(curr, ft.ModelFamily.GRAPH, (2, 2)), rare_threshold=0
         )
-        X, y = ft.read_sparse(ft.export_sparse(train, index), len(index))
+        X, y = ft.read_sparse(ft.export_sparse(train), len(index))
         assert list(y) == [fv.label for fv in train]
         for row, fv in zip(dense(X), train):
-            assert {name: row[col] for name, col in index.items() if row[col]} == fv.features
+            assert {col: row[col] for col in index.values() if row[col]} == fv.features
 
     @pytest.mark.parametrize("item", ["5:1.0", "-1:5.0", "x:1.0", "1:abc", "3", "1.5:2.0",
                                       "2:nan", "2:inf", "2:-inf", "2:1e400", "2:1e200",
