@@ -6,12 +6,13 @@ pairs once and keeps their tally: each distinct (from, to) pair with its
 multiplicity. ``compute_metrics`` reads every metric off that tally:
 density (can exceed 1), self-loop count, strongly connected components,
 indegree-central activities, and the transition with maximal edge
-betweenness. ``export_dot`` renders the graph and ``metrics_csv_row`` one
+betweenness. Components and betweenness share one breadth-first search
+per source. ``export_dot`` renders the graph and ``metrics_csv_row`` one
 row of its metrics.
 
 Tokens are ints (see ``events``), so each token indexes the per-node
-lists directly: indegrees, successor lists, Tarjan's index/lowlink/on-stack
-state and Brandes' distances, path counts and dependencies.
+lists directly: indegrees, successor lists and Brandes' distances, path
+counts and dependencies.
 
 Edge betweenness is exact without rational arithmetic: Brandes'
 accumulation keeps every edge's score as an integer numerator over one
@@ -99,51 +100,48 @@ def _read_tally(g: ActivityGraph) -> tuple[int, list[int], list[list[ActivityTok
     return self_loops, indegree, succ
 
 
-def _count_scc(nodes: list[ActivityToken], succ: list[list[ActivityToken]]) -> int:
-    """Number of strongly connected components (Tarjan)."""
-    index = [-1] * len(succ)
-    lowlink = [0] * len(succ)
-    on_stack = [False] * len(succ)
-    stack: list[ActivityToken] = []
-    counter = 0
-    n_scc = 0
+def _shortest_paths(
+    nodes: list[ActivityToken], succ: list[list[ActivityToken]]
+) -> list[tuple[list[ActivityToken], list[int], list[list[ActivityToken]]]]:
+    """Brandes' breadth-first search from each node, in node order.
 
-    def strongconnect(v: ActivityToken) -> None:
-        nonlocal counter, n_scc
-        index[v] = lowlink[v] = counter
-        counter += 1
-        stack.append(v)
-        on_stack[v] = True
-        for w in succ[v]:
-            if index[w] < 0:
-                strongconnect(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif on_stack[w]:
-                lowlink[v] = min(lowlink[v], index[w])
-        if lowlink[v] == index[v]:
-            n_scc += 1
-            while True:
-                w = stack.pop()
-                on_stack[w] = False
-                if w == v:
-                    break
-
-    # Node count is bounded by the 15-token alphabet, so recursion is shallow.
-    for v in nodes:
-        if index[v] < 0:
-            strongconnect(v)
-    return n_scc
+    Takes the sorted nodes and the simple-digraph successors (see
+    _read_tally). Each search is (order, sigma, preds): the nodes the source
+    reaches in BFS order, the source first; the number of shortest paths to
+    each node; and each node's shortest-path predecessors.
+    """
+    searches = []
+    for source in nodes:
+        dist = [-1] * len(succ)
+        sigma = [0] * len(succ)
+        preds: list[list[ActivityToken]] = [[] for _ in succ]
+        dist[source], sigma[source] = 0, 1
+        order = [source]
+        for v in order:  # grows while it is walked: a FIFO queue
+            next_dist = dist[v] + 1
+            for w in succ[v]:
+                if dist[w] < 0:
+                    dist[w] = next_dist
+                    order.append(w)
+                if dist[w] == next_dist:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        searches.append((order, sigma, preds))
+    return searches
 
 
 def _betweenness_numerators(
-    nodes: list[ActivityToken], succ: list[list[ActivityToken]]
+    nodes: list[ActivityToken],
+    succ: list[list[ActivityToken]],
+    searches: list | None = None,
 ) -> tuple[dict[EdgePair, int], int]:
     """Edge betweenness as integer numerators over one common denominator.
 
-    Takes the sorted nodes and the simple-digraph successors (see
-    _read_tally). Returns (numerators, denominator): numerators keyed by
-    (from, to) in token order for every edge of the collapsed simple
-    digraph, and the edge (u, v) has betweenness numerators[u, v] / denominator.
+    Takes the sorted nodes, the simple-digraph successors (see _read_tally)
+    and their searches (see _shortest_paths, run here when not given).
+    Returns (numerators, denominator): numerators keyed by (from, to) in
+    token order for every edge of the collapsed simple digraph, and the edge
+    (u, v) has betweenness numerators[u, v] / denominator.
 
     Self-loops are excluded and parallel edges collapse to one: shortest
     paths never traverse a loop and multiplicity does not change path
@@ -160,25 +158,8 @@ def _betweenness_numerators(
     loop keeps D * delta_w as an integer, and each edge contribution
     sigma_v * (D + D * delta_w) // sigma_w is an exact division.
     """
-    searches = []
-    for source in nodes:
-        # BFS from source: distances, path counts, shortest-path predecessors.
-        dist = [-1] * len(succ)
-        sigma = [0] * len(succ)
-        preds: list[list[ActivityToken]] = [[] for _ in succ]
-        dist[source], sigma[source] = 0, 1
-        order = [source]
-        for v in order:  # grows while it is walked: a FIFO queue
-            next_dist = dist[v] + 1
-            for w in succ[v]:
-                if dist[w] < 0:
-                    dist[w] = next_dist
-                    order.append(w)
-                if dist[w] == next_dist:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        searches.append((order, sigma, preds))
-
+    if searches is None:
+        searches = _shortest_paths(nodes, succ)
     denominator = math.lcm(*(s for _, sigma, _ in searches for s in sigma if s))
     numerators = {(v, w): 0 for v in nodes for w in succ[v]}
     for order, sigma, preds in searches:
@@ -200,7 +181,8 @@ def compute_metrics(g: ActivityGraph) -> GraphMetrics:
     nodes = sorted(g.nodes)
     self_loops, indegree, succ = _read_tally(g)
     centrality = [(v, indegree[v] / (n - 1) if n > 1 else 0.0) for v in nodes]
-    numerators, denominator = _betweenness_numerators(nodes, succ)
+    searches = _shortest_paths(nodes, succ)
+    numerators, denominator = _betweenness_numerators(nodes, succ, searches)
     central = None
     if numerators:
         edge, num = max(
@@ -212,7 +194,8 @@ def compute_metrics(g: ActivityGraph) -> GraphMetrics:
         num_edges=g.num_edges,
         density=g.num_edges / (n * (n - 1)) if n > 1 else 0.0,
         num_self_loops=self_loops,
-        num_scc=_count_scc(nodes, succ),
+        # Two nodes share a component exactly when they reach the same nodes.
+        num_scc=len({sum(1 << v for v in order) for order, _, _ in searches}),
         top_indegree=tuple(sorted(centrality, key=lambda item: (-item[1], item[0]))[:3]),
         central_transition=central,
     )
