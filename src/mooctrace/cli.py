@@ -135,7 +135,10 @@ def write_text_atomic(path: Path, text: str) -> None:
     a write that fails removes the temp file and exits 2 naming path."""
     tmp = None
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:  # a file, not a directory: mkstemp says so
+            pass
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

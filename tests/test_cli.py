@@ -936,6 +936,27 @@ class TestUnwritableOutput:
         assert error["error"].startswith(f"cannot write {blocker}/")
         assert error["error"].endswith(": Not a directory")
 
+    @pytest.mark.parametrize("depth", [0, 1])
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_regular_file_named_as_directory_not_a_directory(self, tmp_path, featurized_dir,
+                                                             capsys, command, depth):
+        # The file itself (depth 0) or a directory under it (depth 1).
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out_dir = blocker / "o" if depth else blocker
+        argv, written = {
+            "synth": (["--out-dir", out_dir, "--students", "2"], "clickstream.jsonl"),
+            "train": (["--train", featurized_dir / "train.txt",
+                       "--features", featurized_dir / "features.json",
+                       "--out", out_dir / "m.json"], "m.json"),
+        }[command]
+        capsys.readouterr()
+        assert run(command, *argv) == cli.EXIT_BAD_INPUT
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert error == {"error": f"cannot write {out_dir / written}: Not a directory",
+                         "code": cli.EXIT_BAD_INPUT}
+        assert blocker.read_text() == ""
+
     def test_report_week_past_file_name_limit_exit_2(self, tmp_path, capsys):
         clicks = tmp_path / "clicks.jsonl"
         clicks.write_text('{"sid": 1, "t": 1e+308, "vid": "v", "kind": "play"}\n'
