@@ -13,9 +13,10 @@ puts a machine-readable JSON error on stderr.
 Each command loads only what its own work needs. ``mooctrace.model`` is the
 package's one numpy module. It is imported inside train, eval and report,
 and by ``features.read_sparse``, which only train and eval call, so synth,
-ingest and featurize never load numpy; only ``eval --model-file-b`` loads
-``scipy.stats``. ``mooctrace.synth`` is imported inside synth, and
-``mooctrace.actgraph`` inside report and featurize's graph features.
+ingest and featurize never load numpy. No command loads scipy: eval
+--model-file-b computes its t-test's p-value with the math module.
+``mooctrace.synth`` is imported inside synth, and ``mooctrace.actgraph``
+inside report and featurize's graph features.
 """
 
 from __future__ import annotations

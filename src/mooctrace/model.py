@@ -15,7 +15,9 @@ training-kernel column is one training row against the training rows;
 prediction scores a block of test rows at a time against the support
 vectors. ``evaluate`` returns accuracy, Cohen's kappa, false negative rate
 and the confusion counts, with dropout as the positive class, as the plain
-object eval writes to report.json.
+object eval writes to report.json. ``paired_ttest`` compares two models'
+per-instance correctness; its p-value comes from the Student t tail in the
+math module alone, so numpy is the package's only dependency.
 """
 
 from __future__ import annotations
@@ -466,12 +468,41 @@ def paired_ttest(
             return 0.0, 1.0, df
         return math.copysign(math.inf, mean), 0.0, df
     t = mean / math.sqrt(var / n)
-    # Imported here, not at module level: scipy.stats takes about a second
-    # to import and nothing else in the pipeline needs it.
-    from scipy import stats
+    return t, _student_t_p(t, df), df
 
-    p = 2.0 * float(stats.t.sf(abs(t), df))
-    return t, p, df
+
+def _student_t_p(t: float, df: int) -> float:
+    """Two-tailed p of Student's t: I_x(df/2, 1/2) with x = df / (df + t**2).
+
+    The regularized incomplete beta I_x(a, b) is x^a (1-x)^b / (a B(a, b))
+    times a continued fraction, evaluated by Lentz's method (Press et al.,
+    Numerical Recipes, 3rd ed., section 6.4). Past x = (a+1)/(a+b+2) the
+    fraction converges slowly, so there p = 1 - I_(1-x)(b, a) instead.
+    """
+    a, t2 = df / 2.0, t * t
+    x, y = df / (df + t2), t2 / (df + t2)  # y is 1 - x without the cancellation
+    if a < 100.0:
+        log_ratio = math.lgamma(a + 0.5) - math.lgamma(a)  # log(G(a+1/2) / G(a))
+    else:  # the difference of two large lgammas cancels; its asymptotic series does not
+        log_ratio = 0.5 * math.log(a) - (1 / 8 - (1 / 192 - 1 / 640 / a**2) / a**2) / a
+    # x^a (1-x)^(1/2) / B(a, 1/2), with B(a, 1/2) = G(a) G(1/2) / G(a+1/2)
+    front = math.exp(log_ratio - a * math.log1p(t2 / df)) * math.sqrt(y / math.pi)
+    flip = x >= (a + 1.0) / (a + 2.5)
+    p, q, z = (0.5, a, y) if flip else (a, 0.5, x)
+    c, d = 1.0, 1.0 / (1.0 - (p + q) * z / (p + 1.0))
+    fraction = d
+    for m in range(1, 300):  # fewer than 60 steps for df up to 10**12
+        for term in (m * (q - m) * z / ((p + 2 * m - 1) * (p + 2 * m)),
+                     -(p + m) * (p + q + m) * z / ((p + 2 * m) * (p + 2 * m + 1))):
+            d = 1.0 / (1.0 + term * d or 1e-300)
+            c = 1.0 + term / c or 1e-300
+            fraction *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    else:
+        raise ArithmeticError(f"the t tail did not converge at t={t!r}, df={df}")
+    tail = front * fraction / p
+    return 1.0 - tail if flip else tail
 
 
 def _entropy_bits(counts: dict) -> float:

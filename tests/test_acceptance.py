@@ -375,7 +375,7 @@ _TCURR_SEQUENCES_SHA256 = "55fdb8d32ebf476b5469b229ff520a8dcd91b8906b2767f178c5d
 # eval of the baseline family, Curr setup: a default model against one with C=10.
 _EVAL_SHA256 = {
     "report.json": "9829f8253b4dfe52a2ece16e0fbf5485a03a0c0a93eeb79f1ffcea1deacfd936",
-    "ttest.json": "a8c93fc569b7e89cf3983389fa9e797132a0c8d2150fd32c6c16415eac1c28e5",
+    "ttest.json": "eb4c4c42b5ed55870a7b990db151ad22f4b17dd9c378e6b54408c8069badc5a8",
 }
 
 

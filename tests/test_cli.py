@@ -802,7 +802,7 @@ class TestImportCost:
 
     On a 2-core x86-64 VM, importing numpy costs about 0.045 s of CPU and
     12.5 MB per process, a fifth of a 200-student ingest's whole run;
-    importing scipy.stats costs about a second.
+    importing scipy.stats costs about 1.5 s, and no command needs it.
     """
 
     @pytest.fixture(scope="class")
@@ -811,8 +811,7 @@ class TestImportCost:
         return json.loads(_probe(_NUMPY_AFTER_COMMANDS, str(out_dir)))
 
     def test_cli_import_leaves_scipy_out(self):
-        # Only eval --model-file-b needs scipy, so importing the CLI must load
-        # no scipy module at all.
+        # The package needs no scipy: tests use it only as an oracle.
         assert _probe("import sys, mooctrace.cli; " + _LOADED.format("scipy")) == "[]"
 
     def test_cli_import_leaves_numpy_out(self):
@@ -834,8 +833,9 @@ class TestImportCost:
                    "--forum", d / "forum.jsonl", "--out-dir", d) == 0
         assert run("featurize", "--events", d / "events.jsonl", "--out-dir", d,
                    "--model", "baseline") == 0
-        assert run("train", "--train", d / "train.txt", "--features", d / "features.json",
-                   "--out", d / "model.json") == 0
+        data = ("--train", d / "train.txt", "--features", d / "features.json")
+        assert run("train", *data, "--out", d / "model.json") == 0
+        assert run("train", *data, "--out", d / "model_c10.json", "--svm-c", 10) == 0
         return d
 
     @staticmethod
@@ -863,6 +863,14 @@ class TestImportCost:
         # The probe can see a loaded module: graph features need actgraph.
         argv = "featurize --events {d}/events.jsonl --out-dir {d}/graph --model graph"
         assert self._loaded(pipeline_dir, argv) == ["mooctrace.actgraph"]
+
+    def test_paired_ttest_leaves_scipy_out(self, pipeline_dir):
+        # The two models disagree on some rows, so the p-value is computed.
+        argv = ("eval --model-file {d}/model.json --model-file-b {d}/model_c10.json "
+                "--test {d}/test.txt --features {d}/features.json --out {d}/report_ab.json")
+        args = [arg.format(d=pipeline_dir) for arg in argv.split()]
+        assert json.loads(_probe(_MODULES_AFTER_COMMAND, *args, "scipy")) == []
+        assert 0.0 < json.loads((pipeline_dir / "ttest.json").read_text())["p"] < 1.0
 
     @pytest.mark.parametrize("argv", [
         pytest.param("featurize --events {d}/events.jsonl --out-dir {d}/graph2 --model graph",

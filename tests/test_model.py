@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -387,6 +388,28 @@ class TestPairedTtest:
     def test_too_short(self):
         with pytest.raises(ValueError):
             m.paired_ttest([1], [0])
+
+    def test_p_matches_scipy_tail(self):
+        # The grid: 61 df log-spaced over [1, 10**6] by 161 |t| evenly spaced
+        # over [0, 40]. Below the smallest normal float the oracle is
+        # subnormal or 0 and has no relative precision, so p must be too.
+        # Over the grid the worst relative error is about 4e-11.
+        worst = 0.0
+        for df in np.unique(np.round(np.logspace(0, 6, 61))).astype(int):
+            ts = np.linspace(0.0, 40.0, 161)
+            for t, oracle in zip(ts, 2.0 * scipy_stats.t.sf(ts, df)):
+                p = m._student_t_p(float(t), int(df))
+                if oracle < sys.float_info.min:
+                    assert p < sys.float_info.min, (t, df)
+                else:
+                    worst = max(worst, abs(p - oracle) / oracle)
+        assert worst <= 1e-9
+        # paired_ttest itself, on seeded samples and both zero-variance cases.
+        rng = np.random.default_rng(24)
+        samples = [rng.integers(0, 2, size=(2, n)).tolist() for n in (2, 5, 40, 3000)]
+        for a, b in samples + [([1, 0, 1], [1, 0, 1]), ([1, 1, 1], [0, 0, 0])]:
+            t, p, df = m.paired_ttest(a, b)
+            assert p == pytest.approx(2.0 * scipy_stats.t.sf(abs(t), df), rel=1e-9, abs=0.0)
 
 
 def gain(a, b, labels):
