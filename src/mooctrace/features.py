@@ -21,14 +21,16 @@ assemble_dataset builds the raw rows as plain train and test lists, putting
 each row on its side by student id as it builds it; finalize_split makes
 them model-ready in one pass. It fits one table of dichotomizers and
 min-max scalers, the same for every family, on the training rows only, then
-transforms each training row once, counts support per id over those rows,
-keeps the controls and the ids that meet the rare threshold, names only
-those, and projects every train and test row onto their columns. Each of
-those maps is a plain function from fit_value_map, which report's analysis
-also uses. export_sparse writes finalized rows as `label idx:val` text,
-formatting each distinct item once, and read_sparse parses that text into
-a model.Csr matrix and a list of labels. Only read_sparse, which train and
-eval call, imports model and so numpy.
+counts each id's support over the training rows as they would be once
+transformed, keeps the controls and the ids that meet the rare threshold,
+and names only those. One function then transforms every train and test row
+and projects it onto their columns, so no transformed copy of a row is kept
+beside its finalized one. Each of those maps is a plain function from
+fit_value_map, which report's analysis also uses. export_sparse writes
+finalized rows as `label idx:val` text, formatting each distinct item once,
+and read_sparse parses that text into a model.Csr matrix and a list of
+labels. Only read_sparse, which train and eval call, imports model and so
+numpy.
 """
 
 from __future__ import annotations
@@ -249,45 +251,38 @@ def finalize_split(
     """
     if rare_threshold < 0:
         raise ValueError("threshold must be >= 0")
-    maps = [
-        (i, fit_value_map([fv.features.get(i, 0.0) for fv in train], _TRANSFORMS[key]))
+    maps = {
+        i: fit_value_map([fv.features.get(i, 0.0) for fv in train], _TRANSFORMS[key])
         for i, key in enumerate(keys)
         if key in _TRANSFORMS
-    ] if train else []
-
-    def transform(features: dict[int, float]) -> dict[int, float]:
-        row = dict(features)
-        for i, value_map in maps:
-            if i in row:
-                value = value_map(row[i])
-                if value:
-                    row[i] = value
-                else:
-                    del row[i]
-        return row
-
-    train_rows = [transform(fv.features) for fv in train]
-    support = Counter(chain.from_iterable(train_rows))
+    } if train else {}
+    # A raw value counts toward support unless its map sends it to 0, so ids
+    # with a map are counted again; one whose every value maps to 0 is dropped.
+    support = Counter(chain.from_iterable(fv.features for fv in train))
+    for i, value_map in maps.items():
+        support[i] = sum(1 for fv in train if i in fv.features and value_map(fv.features[i]))
     kept = sorted(
         (_feature_name(keys[i]), i)
         for i, k in support.items()
-        if k >= rare_threshold or isinstance(keys[i], str) and keys[i].startswith("ctl:")
+        if k and (k >= rare_threshold or isinstance(keys[i], str) and keys[i].startswith("ctl:"))
     )
     index = {name: col for col, (name, _) in enumerate(kept)}
     column = {i: col for col, (_, i) in enumerate(kept)}
+    kept_maps = [(i, column[i], value_map) for i, value_map in maps.items() if i in column]
 
-    def project(row: dict[int, float]) -> dict[int, float]:
-        return {column[i]: v for i, v in row.items() if i in column}
+    def finalize(fv: FeatureVector) -> FeatureVector:
+        raw = fv.features
+        row = {column[i]: v for i, v in raw.items() if i in column}
+        for i, col, value_map in kept_maps:
+            if i in raw:
+                value = value_map(raw[i])
+                if value:
+                    row[col] = value
+                else:
+                    del row[col]
+        return FeatureVector(fv.instance_id, row, fv.label)
 
-    train_out = [
-        FeatureVector(fv.instance_id, project(row), fv.label)
-        for fv, row in zip(train, train_rows)
-    ]
-    test_out = [
-        FeatureVector(fv.instance_id, project(transform(fv.features)), fv.label)
-        for fv in test
-    ]
-    return index, train_out, test_out
+    return index, [finalize(fv) for fv in train], [finalize(fv) for fv in test]
 
 
 def export_sparse(instances: list[FeatureVector]) -> str:
