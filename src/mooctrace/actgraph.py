@@ -131,14 +131,12 @@ def _shortest_paths(
 
 
 def _betweenness_numerators(
-    nodes: list[ActivityToken],
-    succ: list[list[ActivityToken]],
-    searches: list | None = None,
+    nodes: list[ActivityToken], succ: list[list[ActivityToken]], searches: list
 ) -> tuple[dict[EdgePair, int], int]:
     """Edge betweenness as integer numerators over one common denominator.
 
     Takes the sorted nodes, the simple-digraph successors (see _read_tally)
-    and their searches (see _shortest_paths, run here when not given).
+    and their searches (see _shortest_paths).
     Returns (numerators, denominator): numerators keyed by (from, to) in
     token order for every edge of the collapsed simple digraph, and the edge
     (u, v) has betweenness numerators[u, v] / denominator.
@@ -158,8 +156,6 @@ def _betweenness_numerators(
     loop keeps D * delta_w as an integer, and each edge contribution
     sigma_v * (D + D * delta_w) // sigma_w is an exact division.
     """
-    if searches is None:
-        searches = _shortest_paths(nodes, succ)
     denominator = math.lcm(*(s for _, sigma, _ in searches for s in sigma if s))
     numerators = {(v, w): 0 for v in nodes for w in succ[v]}
     for order, sigma, preds in searches:

@@ -56,7 +56,10 @@ def test_criterion_1_graph_oracles():
             assert metrics.num_scc == scc_count_bruteforce(g.nodes, g.edges)
 
             _, _, succ = actgraph._read_tally(g)
-            numerators, denominator = actgraph._betweenness_numerators(sorted(g.nodes), succ)
+            nodes = sorted(g.nodes)
+            numerators, denominator = actgraph._betweenness_numerators(
+                nodes, succ, actgraph._shortest_paths(nodes, succ)
+            )
             mine = {edge: Fraction(num, denominator) for edge, num in numerators.items()}
             oracle = edge_betweenness_bruteforce(g.nodes, g.edges)
             assert mine == oracle  # exact rational equality

@@ -134,7 +134,10 @@ class TestCentralTransition:
 def exact_betweenness(g):
     """Edge betweenness as exact Fractions, from the integer numerators."""
     _, _, succ = actgraph._read_tally(g)
-    numerators, denominator = actgraph._betweenness_numerators(sorted(g.nodes), succ)
+    nodes = sorted(g.nodes)
+    numerators, denominator = actgraph._betweenness_numerators(
+        nodes, succ, actgraph._shortest_paths(nodes, succ)
+    )
     return {edge: Fraction(num, denominator) for edge, num in numerators.items()}
 
 
