@@ -19,18 +19,18 @@ feature gets a column. A feature is known by three things:
 
 assemble_dataset builds the raw rows as plain train and test lists, putting
 each row on its side by student id as it builds it; finalize_split makes
-them model-ready in one pass. It fits one table of dichotomizers and
-min-max scalers, the same for every family, on the training rows only, then
-counts each id's support over the training rows as they would be once
-transformed, keeps the controls and the ids that meet the rare threshold,
-and names only those. One function then transforms every train and test row
-and projects it onto their columns, so no transformed copy of a row is kept
-beside its finalized one. Each of those maps is a plain function from
-fit_value_map, which report's analysis also uses. export_sparse writes
-finalized rows as `label idx:val` text, formatting each distinct item once,
-and read_sparse parses that text into a model.Csr matrix and a list of
-labels. Only read_sparse, which train and eval call, imports model and so
-numpy.
+them model-ready in place. It fits one table of dichotomizers and min-max
+scalers, the same for every family, on the raw training rows only; each is
+a plain function from fit_value_map, which report's analysis also uses.
+Those maps then map each value of every train and test row once, deleting
+a value mapped to 0. finalize_split counts each id's support over the
+mapped training rows, keeps the controls and the ids that meet the rare
+threshold, and names only those. It then replaces each row in the caller's
+lists by its projection onto their columns, one row at a time, so no copy
+of a split is held beside another. export_sparse writes finalized rows as
+`label idx:val` text, formatting each distinct item once, and read_sparse
+parses that text into a model.Csr matrix and a list of labels. Only
+read_sparse, which train and eval call, imports model and so numpy.
 """
 
 from __future__ import annotations
@@ -240,14 +240,17 @@ def finalize_split(
     keys: Sequence[str | int],
     rare_threshold: int = 4,
 ) -> tuple[dict[str, int], list[FeatureVector], list[FeatureVector]]:
-    """Transform both splits with train-fitted maps and project them onto one index.
+    """Map both splits with train-fitted maps and project them onto one index.
 
     Takes raw rows keyed by feature id and the keys of those ids (see
-    assemble_dataset). Returns (index, train, test). The value maps are
-    fitted on train only. A feature is kept when it is a control ("ctl:") or
-    nonzero in at least `rare_threshold` transformed training instances; the
-    index numbers the kept names in sorted order. Finalized rows are keyed by
-    index column and hold only kept nonzero values.
+    assemble_dataset), and finalizes them in place: returns (index, train,
+    test), where train and test are the very lists given, each row replaced
+    by its finalized one. The value maps are fitted on the raw training rows,
+    then map each value of every row once; a value mapped to 0 is deleted. A
+    feature is kept when it is a control ("ctl:") or in at least
+    `rare_threshold` mapped training rows; the index numbers the kept names
+    in sorted order. Finalized rows are keyed by index column and hold only
+    kept nonzero values.
     """
     if rare_threshold < 0:
         raise ValueError("threshold must be >= 0")
@@ -256,33 +259,28 @@ def finalize_split(
         for i, key in enumerate(keys)
         if key in _TRANSFORMS
     } if train else {}
-    # A raw value counts toward support unless its map sends it to 0, so ids
-    # with a map are counted again; one whose every value maps to 0 is dropped.
+    for fv in chain(train, test):
+        row = fv.features
+        for i, value_map in maps.items():
+            if i in row:
+                value = value_map(row[i])
+                if value:
+                    row[i] = value
+                else:
+                    del row[i]
     support = Counter(chain.from_iterable(fv.features for fv in train))
-    for i, value_map in maps.items():
-        support[i] = sum(1 for fv in train if i in fv.features and value_map(fv.features[i]))
     kept = sorted(
         (_feature_name(keys[i]), i)
         for i, k in support.items()
-        if k and (k >= rare_threshold or isinstance(keys[i], str) and keys[i].startswith("ctl:"))
+        if k >= rare_threshold or isinstance(keys[i], str) and keys[i].startswith("ctl:")
     )
     index = {name: col for col, (name, _) in enumerate(kept)}
     column = {i: col for col, (_, i) in enumerate(kept)}
-    kept_maps = [(i, column[i], value_map) for i, value_map in maps.items() if i in column]
-
-    def finalize(fv: FeatureVector) -> FeatureVector:
-        raw = fv.features
-        row = {column[i]: v for i, v in raw.items() if i in column}
-        for i, col, value_map in kept_maps:
-            if i in raw:
-                value = value_map(raw[i])
-                if value:
-                    row[col] = value
-                else:
-                    del row[col]
-        return FeatureVector(fv.instance_id, row, fv.label)
-
-    return index, [finalize(fv) for fv in train], [finalize(fv) for fv in test]
+    for rows in (train, test):
+        for r, fv in enumerate(rows):  # one row at a time, so no split is held twice
+            row = {column[i]: v for i, v in fv.features.items() if i in column}
+            rows[r] = FeatureVector(fv.instance_id, row, fv.label)
+    return index, train, test
 
 
 def export_sparse(instances: list[FeatureVector]) -> str:

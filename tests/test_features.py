@@ -262,9 +262,10 @@ class TestRareThreshold:
                 if row < support:
                     feats[k + 1] = 1.0
             instances.append(ft.FeatureVector((row, 1), feats, row % 2))
+        raw = by_name(instances, keys)  # before finalize_split replaces the rows
         index, train, test = ft.finalize_split(instances, [], keys, threshold)
         assert test == []
-        return by_name(instances, keys), index, by_name(train, list(index))
+        return raw, index, by_name(train, list(index))
 
     def test_support_threshold(self):
         _, index, train = self.finalized_train(list(range(1, 11)), 4)
@@ -341,6 +342,34 @@ class TestFinalizeSplit:
         assert train_b == train
         assert test_b[: len(test)] == test
         assert [fv.instance_id for fv in test_b[len(test) :]] == [(900000, 40)]
+
+    def test_each_value_mapped_once_in_place(self, monkeypatch):
+        # Each value map runs once per train or test row that holds its id,
+        # and the rows are finalized in the very lists given.
+        fit, calls = ft.fit_value_map, []
+
+        def counting_fit(values, strategy):
+            value_map, k = fit(values, strategy), len(calls)
+            calls.append(0)
+
+            def counted(value):
+                calls[k] += 1
+                return value_map(value)
+
+            return counted
+
+        monkeypatch.setattr(ft, "fit_value_map", counting_fit)
+        curr, _ = build_sequences(self.LAYOUT)
+        train, test, keys = ft.assemble_dataset(curr, ft.ModelFamily.COMBINED, TEST_IDS)
+        assert train and test
+        holding = [
+            sum(i in fv.features for fv in train + test)
+            for i, key in enumerate(keys)
+            if key in ft._TRANSFORMS  # the order finalize_split fits them in
+        ]
+        _, train_out, test_out = ft.finalize_split(train, test, keys, rare_threshold=0)
+        assert calls == holding
+        assert train_out is train and test_out is test
 
     def test_export_reproducible(self):
         index_a, train_a, test_a = self.finalized()
