@@ -194,14 +194,6 @@ def _parse_log_file(path: str, what: str, parse):
         raise CommandError(EXIT_BAD_INPUT, f"cannot read {what} {path}: {exc.strerror}") from exc
 
 
-def _read_events(path: str):
-    text = _read_text(path, "events")
-    try:
-        return events_from_jsonl(text)
-    except ValueError as exc:  # names the line
-        raise CommandError(EXIT_BAD_INPUT, f"{path} {exc}") from exc
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -247,19 +239,23 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_sequences(events, cfg: dict):
-    """The configured setup's sequences; TCurr ones are built from Curr ones."""
+def _read_sequences(path: str, cfg: dict):
+    """The configured setup's sequences of the events.jsonl at path; TCurr
+    ones are built from Curr ones. The events are dropped on return. An
+    empty event store exits 3, before course_start is checked."""
+    try:
+        events = events_from_jsonl(_read_text(path, "events"))
+    except ValueError as exc:  # names the line
+        raise CommandError(EXIT_BAD_INPUT, f"{path} {exc}") from exc
+    if not events:
+        raise CommandError(EXIT_EMPTY_EVENTS, "event store is empty")
     curr = build_curr_sequences(events, cfg["course_start"])
     return curr if cfg["setup"] == Setup.CURR else build_tcurr_sequences(curr)
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    events = _read_events(args.events)
-    if not events:
-        raise CommandError(EXIT_EMPTY_EVENTS, "event store is empty")
-
-    sequences = _build_sequences(events, cfg)
+    sequences = _read_sequences(args.events, cfg)
     train, test, keys = features.assemble_dataset(
         sequences, cfg["model"], (cfg["test_id_min"], cfg["test_id_max"])
     )
@@ -428,9 +424,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from mooctrace import actgraph, model as svm
 
     cfg = build_config(args)
-    sequences = _build_sequences(_read_events(args.events), cfg)  # no events, no sequences
-    if not sequences:
-        raise CommandError(EXIT_EMPTY_EVENTS, "event store is empty")
+    sequences = _read_sequences(args.events, cfg)
     out = Path(args.out_dir)
 
     selected = None  # every instance

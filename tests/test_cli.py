@@ -151,12 +151,6 @@ class TestFeaturizeCommand:
         keys = (featurized_dir / "train_keys.jsonl").read_text().splitlines()
         assert len(train_lines) == len(keys) > 0
 
-    def test_empty_events_exit_3(self, tmp_path, capsys):
-        empty = tmp_path / "events.jsonl"
-        empty.write_text("")
-        code = run("featurize", "--events", empty, "--out-dir", tmp_path / "o")
-        assert code == cli.EXIT_EMPTY_EVENTS
-
     def test_empty_test_warns(self, tmp_path, capsys, recwarn):
         events = tmp_path / "events.jsonl"
         events.write_text('{"sid": 5, "t": 100.0, "token": "PL"}\n')
@@ -679,18 +673,25 @@ class TestTrainEvalCommands:
         assert code == cli.EXIT_SINGLE_CLASS
 
 
+@pytest.mark.parametrize(
+    "flags", [(), ("--setup", "tcurr", "--course-start", 5)], ids=["curr", "tcurr"]
+)
+@pytest.mark.parametrize("command", ["featurize", "report"])
+def test_empty_events_exit_3(tmp_path, command, flags):
+    # Whatever the other flags, an empty store exits 3 before course_start is
+    # checked, and writes nothing.
+    empty = tmp_path / "events.jsonl"
+    empty.write_text("")
+    code = run(command, "--events", empty, "--out-dir", tmp_path / "o", *flags)
+    assert code == cli.EXIT_EMPTY_EVENTS
+    assert not (tmp_path / "o").exists()
+
+
 class TestReportCommand:
     def test_unknown_instance_exit_5(self, tmp_path, events_dir, capsys):
         code = run("report", "--events", events_dir / "events.jsonl",
                    "--out-dir", tmp_path / "r", "--student", 999999, "--week", 1)
         assert code == cli.EXIT_UNKNOWN_INSTANCE
-
-    def test_empty_events_exit_3(self, tmp_path):
-        empty = tmp_path / "events.jsonl"
-        empty.write_text("")
-        code = run("report", "--events", empty, "--out-dir", tmp_path / "r")
-        assert code == cli.EXIT_EMPTY_EVENTS
-        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("flag", ["--student", "--week"])
     def test_student_and_week_go_together(self, tmp_path, capsys, flag):
