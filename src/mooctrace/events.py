@@ -379,16 +379,20 @@ def events_from_jsonl(text: str) -> list[Event]:
     non-finite t, an sid past the int digit limit, an unknown token) raises
     a ValueError naming its first bad line, found line by line only then.
     """
-    rows = _EVENT_LINE.findall(text)
-    # Each match is one whole line, so equal counts mean every line matched.
-    if len(rows) == text.count("\n") and text[-1:] in ("", "\n"):
-        try:
-            events = [Event(int(sid), float(t), _TOKENS[name]) for sid, t, name in rows]
-        except (KeyError, ValueError):  # unknown token, or sid past the digit limit
-            pass
-        else:
-            if all(math.isfinite(e.timestamp) for e in events):
-                return events
+    try:
+        events = [
+            Event(int(sid), float(t), _TOKENS[name])
+            for sid, t, name in map(re.Match.groups, _EVENT_LINE.finditer(text))
+        ]
+    except (KeyError, ValueError):  # unknown token, or sid past the digit limit
+        pass
+    else:
+        # Each match is one whole line, so equal counts mean every line matched.
+        if (
+            len(events) == text.count("\n") and text[-1:] in ("", "\n")
+            and all(math.isfinite(e.timestamp) for e in events)
+        ):
+            return events
     # Every line before the first bad one is plain ASCII, so splitlines'
     # extra separators can only split the bad line itself.
     for line_no, line in enumerate(text.splitlines(keepends=True), start=1):
