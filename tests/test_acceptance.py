@@ -271,6 +271,9 @@ _COMPARED_FILES = (
 # edge tally: a change to graph metrics or DOT rendering must show here.
 _METRICS_SHA256 = "f53b669b7d45aacb70957eadd386ed52e865a226505c20ea37110f32504b2efc"
 _DOTS_SHA256 = "507adf78c123fd9ef4f30273c9f1147945572f42c2725c6c9065fdbf16343a67"
+# interaction_gain.csv and every contingency_*.csv in name order, recorded
+# before TCurr graphs were built from the previous week's.
+_ANALYSIS_SHA256 = "3429c47dbd6b352792c7d430442152d6f8b61e82a68eba628ac5b3575568fd80"
 
 
 def _sha256(data: bytes) -> str:
@@ -303,10 +306,13 @@ def test_criterion_8_pipeline_determinism(tmp_path):
             bytes_b = (tmp_path / "b" / name).read_bytes()
             assert bytes_a == bytes_b, f"{name} differs between runs"
         assert sorted(p.name for p in (tmp_path / "b" / "report" / "dot").iterdir()) == dots
-        # Pinned report bytes: graph metrics and every DOT file in name order.
+        # Pinned report bytes: graph metrics, every DOT file in name order and
+        # the analysis CSVs in name order.
         joined_dots = b"".join((report / "dot" / name).read_bytes() for name in dots)
+        joined_analyses = b"".join((report / name).read_bytes() for name in csvs[1:])
         assert _sha256((report / "graph_metrics.csv").read_bytes()) == _METRICS_SHA256
         assert _sha256(joined_dots) == _DOTS_SHA256
+        assert _sha256(joined_analyses) == _ANALYSIS_SHA256
 
 
 # The featurize artifacts of criterion 8's events (120 students, seed 11),
