@@ -1,13 +1,18 @@
 """Directed activity multigraphs and their structural metrics.
 
 Consecutive token pairs of a footprint sequence become weight-1 directed
-edges, keeping self-loops and parallel edges. ``build_graph`` walks the
-pairs once and keeps their tally: each distinct (from, to) pair with its
-multiplicity. ``compute_metrics`` reads every metric off that tally:
-density (can exceed 1), self-loop count, strongly connected components,
-indegree-central activities, and the transition with maximal edge
-betweenness. Components and betweenness share one breadth-first search
-per source. ``export_dot`` renders the graph and ``metrics_csv_row`` one
+edges, keeping self-loops and parallel edges. ``build_graph`` keeps the
+pairs' tally: each distinct (from, to) pair with its multiplicity. The
+tally runs across weeks: given a previous graph whose tokens the sequence
+starts with, as a TCurr sequence starts with the same student's previous
+week, it adds only the pairs from that prefix's last token onward, the
+junction pair included; given any other, it starts empty. A Curr week is
+the one-week case: a previous graph is its prefix only by chance, and
+extending it is just as exact. ``compute_metrics`` reads every metric off
+the tally: density (can exceed 1), self-loop count, strongly connected
+components, indegree-central activities, and the transition with maximal
+edge betweenness. Components and betweenness share one breadth-first
+search per source. ``export_dot`` renders the graph and ``metrics_csv_row`` one
 row of its metrics.
 
 Tokens are ints (see ``events``), so each token indexes the per-node
@@ -24,15 +29,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mooctrace.events import ActivityToken
 
 EdgePair = tuple[ActivityToken, ActivityToken]
 
 
-@dataclass(frozen=True)
-class ActivityGraph:
+class ActivityGraph(NamedTuple):
     """Directed multigraph over the activity tokens of one sequence.
 
     multiplicity maps each distinct (from, to) pair, in token order, to the
@@ -57,8 +61,7 @@ class ActivityGraph:
         return max(len(self.tokens) - 1, 0)
 
 
-@dataclass(frozen=True)
-class GraphMetrics:
+class GraphMetrics(NamedTuple):
     num_nodes: int
     num_edges: int
     # m / n(n-1), exceeding 1 when self-loops and parallel edges are plentiful;
@@ -74,10 +77,19 @@ class GraphMetrics:
     central_transition: tuple[EdgePair, float] | None
 
 
-def build_graph(tokens) -> ActivityGraph:
-    """Build the activity graph from a footprint token sequence."""
+def build_graph(tokens, previous: ActivityGraph | None = None) -> ActivityGraph:
+    """Build the activity graph from a footprint token sequence.
+
+    When previous is given and its tokens are a prefix of tokens, its tally
+    is extended by the pairs from that prefix's last token onward; otherwise
+    the tally starts empty. Either way the graph equals that of tokens alone.
+    """
     tokens = tuple(tokens)
-    tally = Counter(zip(tokens, tokens[1:]))
+    tally, start = Counter(), 0
+    if previous is not None and previous.tokens == tokens[: len(previous.tokens)]:
+        tally.update(previous.multiplicity)
+        start = max(len(previous.tokens) - 1, 0)
+    tally.update(zip(tokens[start:], tokens[start + 1 :]))
     return ActivityGraph(tokens, frozenset(tokens), dict(sorted(tally.items())))
 
 
@@ -102,29 +114,30 @@ def _read_tally(g: ActivityGraph) -> tuple[int, list[int], list[list[ActivityTok
 
 def _shortest_paths(
     nodes: list[ActivityToken], succ: list[list[ActivityToken]]
-) -> list[tuple[list[ActivityToken], list[int], list[list[ActivityToken]]]]:
+) -> list[tuple[list[ActivityToken], list[int], list]]:
     """Brandes' breadth-first search from each node, in node order.
 
     Takes the sorted nodes and the simple-digraph successors (see
     _read_tally). Each search is (order, sigma, preds): the nodes the source
     reaches in BFS order, the source first; the number of shortest paths to
-    each node; and each node's shortest-path predecessors.
+    each node, 0 for one not reached; and the shortest-path predecessors of
+    each reached node but the source, None for every other node.
     """
     searches = []
     for source in nodes:
         dist = [-1] * len(succ)
         sigma = [0] * len(succ)
-        preds: list[list[ActivityToken]] = [[] for _ in succ]
+        preds: list = [None] * len(succ)
         dist[source], sigma[source] = 0, 1
         order = [source]
         for v in order:  # grows while it is walked: a FIFO queue
-            next_dist = dist[v] + 1
+            next_dist, sigma_v = dist[v] + 1, sigma[v]
             for w in succ[v]:
                 if dist[w] < 0:
-                    dist[w] = next_dist
+                    dist[w], sigma[w], preds[w] = next_dist, sigma_v, [v]
                     order.append(w)
-                if dist[w] == next_dist:
-                    sigma[w] += sigma[v]
+                elif dist[w] == next_dist:
+                    sigma[w] += sigma_v
                     preds[w].append(v)
         searches.append((order, sigma, preds))
     return searches
@@ -149,25 +162,28 @@ def _betweenness_numerators(
 
     Brandes' accumulation (Brandes 2001; edge variant, Brandes 2008) with
     one BFS per source s. D is the lcm of the shortest-path counts sigma of
-    every source. With sigma_x the number of shortest s-x paths and sigma_wt
-    that of shortest w-t paths, (1 + delta_w) / sigma_w = 1 / sigma_w plus
-    the sum of sigma_wt / sigma_t over the targets t whose shortest paths
-    from s pass through w, and every denominator there divides D. So the
-    loop keeps D * delta_w as an integer, and each edge contribution
-    sigma_v * (D + D * delta_w) // sigma_w is an exact division.
+    every node each source reaches. With sigma_x the number of shortest s-x
+    paths and sigma_wt that of shortest w-t paths, (1 + delta_w) / sigma_w =
+    1 / sigma_w plus the sum of sigma_wt / sigma_t over the targets t whose
+    shortest paths from s pass through w, and every denominator there
+    divides D. So the loop keeps D * delta_w as an integer, and each edge
+    contribution sigma_v * (D + D * delta_w) // sigma_w is an exact division.
     """
-    denominator = math.lcm(*(s for _, sigma, _ in searches for s in sigma if s))
-    numerators = {(v, w): 0 for v in nodes for w in succ[v]}
+    denominator = math.lcm(*(sigma[v] for order, sigma, _ in searches for v in order))
+    # into[w][v] is the numerator of edge (v, w) while it accumulates.
+    into = [[0] * len(succ) for _ in succ]
     for order, sigma, preds in searches:
-        # Accumulate D * delta in reverse BFS order.
+        # Accumulate D * delta in reverse BFS order; the source has no preds.
         delta = [0] * len(succ)
-        for w in reversed(order):
+        for w in order[:0:-1]:
             share = (denominator + delta[w]) // sigma[w]
+            into_w = into[w]
             for v in preds[w]:
                 contribution = sigma[v] * share
-                numerators[v, w] += contribution
+                into_w[v] += contribution
                 delta[v] += contribution
     n = len(nodes)
+    numerators = {(v, w): into[w][v] for v in nodes for w in succ[v]}
     return numerators, denominator * n * (n - 1)
 
 
@@ -181,17 +197,16 @@ def compute_metrics(g: ActivityGraph) -> GraphMetrics:
     numerators, denominator = _betweenness_numerators(nodes, succ, searches)
     central = None
     if numerators:
-        edge, num = max(
-            numerators.items(), key=lambda item: (item[1], -item[0][0], -item[0][1])
-        )
-        central = edge, num / denominator  # int / int rounds correctly
+        # One scan in (from, to) order: max keeps the first of tied edges.
+        edge = max(numerators, key=numerators.__getitem__)
+        central = edge, numerators[edge] / denominator  # int / int rounds correctly
     return GraphMetrics(
         num_nodes=n,
         num_edges=g.num_edges,
         density=g.num_edges / (n * (n - 1)) if n > 1 else 0.0,
         num_self_loops=self_loops,
         # Two nodes share a component exactly when they reach the same nodes.
-        num_scc=len({sum(1 << v for v in order) for order, _, _ in searches}),
+        num_scc=len({frozenset(order) for order, _, _ in searches}),
         top_indegree=tuple(sorted(centrality, key=lambda item: (-item[1], item[0]))[:3]),
         central_transition=central,
     )

@@ -441,10 +441,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     # 10-30% more CPU time, user and system alike, on a TCurr report.
     keys = sorted(sequences)
     metric_rows = [actgraph.METRICS_CSV_HEADER]
-    dots, analysis_rows = [], []
+    dots, analysis_rows, graph = [], [], None
     for key in keys:
         tokens = sequences[key].tokens
-        graph = actgraph.build_graph(tokens)
+        graph = actgraph.build_graph(tokens, graph)  # extends a TCurr prefix
         metrics = actgraph.compute_metrics(graph)
         if selected in (None, key):
             sid, week = key

@@ -17,6 +17,11 @@ feature gets a column. A feature is known by three things:
   and keys finalized rows by column; its index maps each kept name to its
   column.
 
+For the graph
+families assemble_dataset builds each instance's activity graph from the
+previous instance's (see actgraph.build_graph): under TCurr, apart from a
+student's first week, that is the student's previous week, a prefix.
+
 assemble_dataset builds the raw rows as plain train and test lists, putting
 each row on its side by student id as it builds it; finalize_split makes
 them model-ready in place. It fits one table of dichotomizers and min-max
@@ -36,9 +41,9 @@ read_sparse, which train and eval call, imports model and so numpy.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, count
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from mooctrace.events import (
@@ -154,9 +159,10 @@ def fit_value_map(values: Sequence[float], strategy: str | None) -> Callable[[fl
 
 
 def _instance_features(
-    seq: FootprintSequence, model_family: ModelFamily, ids: dict[str | int, int]
+    seq: FootprintSequence, model_family: ModelFamily, ids: dict[str | int, int], metrics
 ) -> dict[int, float]:
-    """One raw row, keyed by the id that ids gives each feature key."""
+    """One raw row, keyed by the id that ids gives each feature key; metrics
+    are the sequence's graph metrics, None for the baseline family."""
     feats = {
         ids["ctl:courseweek"]: float(seq.courseweek),
         ids["ctl:userweek"]: float(seq.userweek),
@@ -169,10 +175,7 @@ def _instance_features(
         for name, value in zip(PROP_FEATURES, active_passive_proportions(seq.tokens)):
             if value:
                 feats[ids[name]] = value
-    if model_family in (ModelFamily.GRAPH, ModelFamily.COMBINED):
-        from mooctrace import actgraph  # here, so that baseline features never load it
-
-        metrics = actgraph.compute_metrics(actgraph.build_graph(seq.tokens))
+    if metrics is not None:
         feats[ids["graph:num_nodes"]] = float(metrics.num_nodes)
         feats[ids["graph:num_edges"]] = float(metrics.num_edges)
         if metrics.density:
@@ -214,12 +217,17 @@ def assemble_dataset(
         raise ValueError("test_id_min must be <= test_id_max")
     labels = dropout_labels(sequences)
     ids: dict[str | int, int] = defaultdict(count().__next__)  # a new key gets the next id
-    train, test = [], []
+    graphs = model_family in (ModelFamily.GRAPH, ModelFamily.COMBINED)
+    if graphs:
+        from mooctrace import actgraph  # here, so that baseline features never load it
+    train, test, graph, metrics = [], [], None, None
     for sid, week in sorted(sequences):
+        seq = sequences[(sid, week)]
+        if graphs:
+            graph = actgraph.build_graph(seq.tokens, graph)
+            metrics = actgraph.compute_metrics(graph)
         fv = FeatureVector(
-            (sid, week),
-            _instance_features(sequences[(sid, week)], model_family, ids),
-            labels[(sid, week)],
+            (sid, week), _instance_features(seq, model_family, ids, metrics), labels[(sid, week)]
         )
         (test if test_id_min <= sid <= test_id_max else train).append(fv)
     return train, test, list(ids)
