@@ -16,7 +16,9 @@ and by ``features.read_sparse``, which only train and eval call, so synth,
 ingest and featurize never load numpy. No command loads scipy: eval
 --model-file-b computes its t-test's p-value with the math module.
 ``mooctrace.synth`` is imported inside synth, and ``mooctrace.actgraph``
-inside report and featurize's graph features.
+inside report and featurize's graph features. The records ingest and
+featurize use are named tuples, so neither loads ``dataclasses`` and,
+through it, ``inspect``: only model and synth declare dataclasses.
 """
 
 from __future__ import annotations

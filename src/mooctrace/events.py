@@ -29,7 +29,6 @@ import json
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, NamedTuple
 
@@ -112,8 +111,7 @@ class Event(NamedTuple):
     token: ActivityToken
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     """Reason a log line was rejected, with its 1-based line number."""
 
     line_no: int

@@ -17,7 +17,8 @@ feature gets a column. A feature is known by three things:
   and keys finalized rows by column; its index maps each kept name to its
   column.
 
-For the graph
+A row is a FeatureVector, a named tuple of the instance id, a sparse dict
+of values and the label, so featurize imports no dataclasses. For the graph
 families assemble_dataset builds each instance's activity graph from the
 previous instance's (see actgraph.build_graph): under TCurr, apart from a
 student's first week, that is the student's previous week, a prefix.
@@ -43,8 +44,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from enum import Enum
 from itertools import chain, count
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from mooctrace.events import (
     ACTIVE_FORUM,
@@ -80,8 +80,7 @@ GRAPH_EQ_FREQ = (
 GRAPH_SCALED = ("graph:num_scc",)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     instance_id: tuple[int, int]  # (student_id, courseweek)
     # Sparse, only nonzero values: keyed by feature id in a raw row, by column
     # once finalized. N-gram counts stay ints.

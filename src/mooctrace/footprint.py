@@ -3,7 +3,9 @@
 A footprint sequence is the time-ordered token list of one student's
 activity in one course week (Curr setup), or cumulatively from their first
 active week through the current one (TCurr setup). Weeks are fixed 7-day
-bins counted from a configured course start. Each sequence carries its two
+bins counted from a configured course start. A ``FootprintSequence`` is a
+named tuple of the student id, the two week numbers and the tokens, built
+without importing ``dataclasses``. Each sequence carries its two
 1-based week numbers as ints: courseweek counts weeks since the course
 started, userweek weeks since the student's first active week, so
 userweek <= courseweek. Every sequence of a run has the run's one setup, so a
@@ -15,9 +17,8 @@ string: "video_only", "forum_only" or "both".
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from mooctrace.events import FORUM_TOKENS, VIDEO_TOKENS, ActivityToken, Event
 
@@ -31,8 +32,7 @@ class Setup(str, Enum):
     TCURR = "tcurr"  # cumulative: first participation week through current
 
 
-@dataclass(frozen=True)
-class FootprintSequence:
+class FootprintSequence(NamedTuple):
     student_id: int
     courseweek: int
     userweek: int
