@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from mooctrace import actgraph
+from mooctrace import footprint as fp
 from mooctrace.events import ActivityToken as T
+from mooctrace.events import Event
 from oracles import edge_betweenness_bruteforce, scc_count_bruteforce
 
 WORKED = [T.Vt, T.Po, T.Vt, T.Po, T.Po]
@@ -213,6 +215,54 @@ class TestAgainstOracles:
             bc1 = exact_betweenness(g1)
             bc2 = exact_betweenness(g2)
             assert {(mapping[u], mapping[v]): x for (u, v), x in bc1.items()} == bc2
+
+
+def random_student_events(rng, sid):
+    """Eight weeks of one student: gap weeks, one-token weeks, and weeks that
+    open with the token the student's previous active week closed with."""
+    letters = rng.sample(list(T), rng.randint(1, 5))
+    events, last = [], None
+    for week in range(8):
+        if rng.random() < 0.3:
+            continue  # a gap week
+        tokens = [rng.choice(letters) for _ in range(rng.choice([1, 1, 2, rng.randint(3, 40)]))]
+        if last is not None and rng.random() < 0.5:
+            tokens[0] = last  # the junction repeats a token
+        last = tokens[-1]
+        events += [Event(sid, week * fp.SECONDS_PER_WEEK + k, t) for k, t in enumerate(tokens)]
+    return events
+
+
+class TestRunningGraphs:
+    """Each graph built from the previous instance's, in (student, week)
+    order as featurize and report walk them, equals the graph built from
+    its own tokens, and so do its metrics."""
+
+    @pytest.mark.parametrize("setup", list(fp.Setup))
+    def test_running_graph_equals_built_graph(self, setup):
+        rng = random.Random(20261020)
+        events = sorted(e for sid in range(1, 41) for e in random_student_events(rng, sid))
+        sequences = fp.build_curr_sequences(events, 0.0)
+        if setup == fp.Setup.TCURR:
+            sequences = fp.build_tcurr_sequences(sequences)
+        graph = None
+        for key in sorted(sequences):
+            tokens = sequences[key].tokens
+            graph = actgraph.build_graph(tokens, graph)
+            built = actgraph.build_graph(tokens)
+            assert graph.tokens == built.tokens and graph.nodes == built.nodes, key
+            assert list(graph.multiplicity.items()) == list(built.multiplicity.items()), key
+            assert actgraph.compute_metrics(graph) == actgraph.compute_metrics(built), key
+
+    def test_previous_that_is_no_prefix_is_ignored(self):
+        previous = actgraph.build_graph(seq("PL", "PA", "PA"))
+        graph = actgraph.build_graph(seq("PL", "PA"), previous)
+        assert graph.multiplicity == {(T.PL, T.PA): 1}
+
+    def test_junction_edge_is_counted(self):
+        previous = actgraph.build_graph(seq("PL", "PA"))
+        graph = actgraph.build_graph(seq("PL", "PA", "PA", "PL"), previous)
+        assert graph.multiplicity == {(T.PL, T.PA): 1, (T.PA, T.PL): 1, (T.PA, T.PA): 1}
 
 
 class TestDotExport:
