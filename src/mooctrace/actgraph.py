@@ -169,7 +169,8 @@ def _betweenness_numerators(
     divides D. So the loop keeps D * delta_w as an integer, and each edge
     contribution sigma_v * (D + D * delta_w) // sigma_w is an exact division.
     """
-    denominator = math.lcm(*(sigma[v] for order, sigma, _ in searches for v in order))
+    # sigma is 0 exactly at the nodes a source does not reach.
+    denominator = math.lcm(*(set().union(*[sigma for _, sigma, _ in searches]) - {0}))
     # into[w][v] is the numerator of edge (v, w) while it accumulates.
     into = [[0] * len(succ) for _ in succ]
     for order, sigma, preds in searches:
