@@ -12,8 +12,8 @@ extending it is just as exact. ``compute_metrics`` reads every metric off
 the tally: density (can exceed 1), self-loop count, strongly connected
 components, indegree-central activities, and the transition with maximal
 edge betweenness. Components and betweenness share one breadth-first
-search per source. ``export_dot`` renders the graph and ``metrics_csv_row`` one
-row of its metrics.
+search per source. ``export_dot`` renders the graph and
+``metrics_csv_row`` one row of its metrics.
 
 Tokens are ints (see ``events``), so each token indexes the per-node
 lists directly: indegrees, successor lists and Brandes' distances, path

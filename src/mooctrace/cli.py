@@ -274,8 +274,8 @@ def cmd_featurize(args: argparse.Namespace) -> int:
             out / f"{name}_keys.jsonl",
             (dict(zip(("sid", "courseweek"), fv.instance_id)) for fv in rows),
         )
-    # One line at a time: the whole text, joined and then encoded, was 2 x 19 MB
-    # at 3000 TCurr students, the command's peak.
+    # One line at a time, so the text (19 MB at 3000 TCurr students) is never
+    # held whole, neither joined nor encoded: either copy set the peak.
     write_text_atomic(
         out / "sequences.jsonl",
         (sequences_to_jsonl([sequences[k]], cfg["setup"]) for k in sorted(sequences)),

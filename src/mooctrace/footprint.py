@@ -4,8 +4,8 @@ A footprint sequence is the time-ordered token list of one student's
 activity in one course week (Curr setup), or cumulatively from their first
 active week through the current one (TCurr setup). Weeks are fixed 7-day
 bins counted from a configured course start. A ``FootprintSequence`` is a
-named tuple of the student id, the two week numbers and the tokens, built
-without importing ``dataclasses``. Each sequence carries its two
+named tuple of the student id, the two week numbers and the tokens, so
+featurize needs no ``dataclasses``. Each sequence carries its two
 1-based week numbers as ints: courseweek counts weeks since the course
 started, userweek weeks since the student's first active week, so
 userweek <= courseweek. Every sequence of a run has the run's one setup, so a
