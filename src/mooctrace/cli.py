@@ -30,7 +30,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from mooctrace import features
 from mooctrace.events import (
@@ -133,7 +133,7 @@ def _svm_params(cfg: dict) -> svm.SvmParams:
     return svm.SvmParams(**{k: v for k, v in values.items() if v is not None})
 
 
-def write_text_atomic(path: Path, text) -> None:
+def write_text_atomic(path: Path, text: str | Iterable[str]) -> None:
     """Write text, a str or an iterable of its pieces in order, through a
     unique temp file in the target's directory, then rename; a write that
     fails removes the temp file and exits 2 naming path."""
