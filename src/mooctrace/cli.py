@@ -1,11 +1,9 @@
 """Command-line pipeline: synth, ingest, featurize, train, eval, report.
 
-Configuration comes from an optional flat key=value file plus flags (flags
-win). ``_CONFIG_KEYS`` is the one table of pipeline keys, each with its cast
-and default, and ``build_config`` returns a plain dict of all of them. Each
-command registers only the flags it reads, while a config file may set any
-pipeline key, so one file serves every command. Every text input
-is decoded as strict UTF-8 from its bytes; a file that cannot be read or
+Flags are the one way to configure a command. Each command registers only
+the flags it reads, each with its default, and reads them from ``args``; an
+SVM flag left out keeps the ``SvmParams`` default. Every text input is
+decoded as strict UTF-8 from its bytes; a file that cannot be read or
 decoded exits 2 naming its path, and so does a file that cannot be
 written. Every command writes files atomically, exits nonzero on error, and
 puts a machine-readable JSON error on stderr.
@@ -65,70 +63,20 @@ class CommandError(Exception):
         self.code = code
 
 
-# Every pipeline key a config file may set, with its cast and its default.
-# A default of None in an svm key or seed leaves the SvmParams default.
-_CONFIG_KEYS = {
-    "course_start": (float, None),
-    "min_unique_viewers": (int, 10),
-    "setup": (Setup, Setup.CURR),
-    "model": (ModelFamily, ModelFamily.GRAPH),
-    "rare_threshold": (int, 4),
-    "test_id_min": (int, 798619),
-    "test_id_max": (int, 1882807),
-    "seed": (int, None),
-    "svm_c": (float, None),
-    "svm_gamma": (float, None),
-    "svm_tolerance": (float, None),
-    "svm_max_iter": (int, None),
-    "cost0": (float, None),
-    "cost1": (float, None),
-}
-
-
-def load_config_file(path: str) -> dict[str, object]:
-    """Flat key=value lines cast by _CONFIG_KEYS; '#' comments."""
-    values: dict[str, object] = {}
-    for number, raw in enumerate(_read_text(path, "config").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CommandError(EXIT_BAD_INPUT, f"{path} line {number}: not key=value: {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise CommandError(EXIT_BAD_INPUT, f"{path} line {number}: unknown key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key][0](value)
-        except ValueError as exc:
-            raise CommandError(EXIT_BAD_INPUT, f"{path} line {number}: {key}: {exc}") from exc
-    return values
-
-
-def build_config(args: argparse.Namespace) -> dict[str, object]:
-    """Every pipeline key: its default, then the config file's value, then the flag's."""
-    cfg = {key: default for key, (_, default) in _CONFIG_KEYS.items()}
-    if args.config:
-        cfg.update(load_config_file(args.config))
-    for key, (cast, _) in _CONFIG_KEYS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = cast(flag)
-    return cfg
-
-
-def _svm_params(cfg: dict) -> svm.SvmParams:
+def _svm_params(args: argparse.Namespace) -> svm.SvmParams:
+    """The flags' SvmParams; an svm flag left out keeps the SvmParams default."""
     from mooctrace import model as svm
 
-    if (cfg["cost0"] is None) != (cfg["cost1"] is None):
+    if (args.cost0 is None) != (args.cost1 is None):
         raise CommandError(EXIT_BAD_INPUT, "cost0 and cost1 go together")
-    class_cost = None if cfg["cost0"] is None else {0: cfg["cost0"], 1: cfg["cost1"]}
+    class_cost = None if args.cost0 is None else {0: args.cost0, 1: args.cost1}
     values = {
-        "C": cfg["svm_c"],
-        "gamma": cfg["svm_gamma"],
+        "C": args.svm_c,
+        "gamma": args.svm_gamma,
         "class_cost": class_cost,
-        "tolerance": cfg["svm_tolerance"],
-        "max_iter": cfg["svm_max_iter"],
-        "seed": cfg["seed"],
+        "tolerance": args.svm_tolerance,
+        "max_iter": args.svm_max_iter,
+        "seed": args.seed,
     }
     return svm.SvmParams(**{k: v for k, v in values.items() if v is not None})
 
@@ -164,7 +112,7 @@ _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
 def write_jsonl_atomic(path: Path, objs) -> None:
-    write_text_atomic(path, "".join(_encode_sorted(o) + "\n" for o in objs))
+    write_text_atomic(path, (_encode_sorted(o) + "\n" for o in objs))
 
 
 def _read_text(path: str, what: str) -> str:
@@ -221,11 +169,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
     raw_clicks, click_diags = _parse_log_file(args.clicks, "clickstream", parse_clickstream_log)
     raw_forums, forum_diags = _parse_log_file(args.forum, "forum", parse_forum_log)
 
-    valid_clicks = filter_valid_videos(raw_clicks, cfg["min_unique_viewers"])
+    valid_clicks = filter_valid_videos(raw_clicks, args.min_unique_viewers)
     events, dropped_equal_rate = encode_events(valid_clicks, raw_forums)
 
     out = Path(args.out_dir)
@@ -242,27 +189,28 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_sequences(path: str, cfg: dict):
-    """The configured setup's sequences of the events.jsonl at path; TCurr
-    ones are built from Curr ones. The events are dropped on return. An
-    empty event store exits 3, before course_start is checked."""
+def _read_sequences(args: argparse.Namespace):
+    """The --setup's sequences of the --events file; TCurr ones are built
+    from Curr ones. The events are dropped on return. An empty event store
+    exits 3, before course_start is checked."""
+    path = args.events
     try:
         events = events_from_jsonl(_read_text(path, "events"))
     except ValueError as exc:  # names the line
         raise CommandError(EXIT_BAD_INPUT, f"{path} {exc}") from exc
     if not events:
         raise CommandError(EXIT_EMPTY_EVENTS, "event store is empty")
-    curr = build_curr_sequences(events, cfg["course_start"])
-    return curr if cfg["setup"] == Setup.CURR else build_tcurr_sequences(curr)
+    curr = build_curr_sequences(events, args.course_start)
+    return curr if args.setup == Setup.CURR else build_tcurr_sequences(curr)
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    sequences = _read_sequences(args.events, cfg)
+    setup = Setup(args.setup)
+    sequences = _read_sequences(args)
     train, test, keys = features.assemble_dataset(
-        sequences, cfg["model"], (cfg["test_id_min"], cfg["test_id_max"])
+        sequences, ModelFamily(args.model), (args.test_id_min, args.test_id_max)
     )
-    index, train, test = features.finalize_split(train, test, keys, cfg["rare_threshold"])
+    index, train, test = features.finalize_split(train, test, keys, args.rare_threshold)
 
     out = Path(args.out_dir)
     write_text_atomic(out / "train.txt", features.export_sparse(train))
@@ -278,11 +226,11 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     # held whole, neither joined nor encoded: either copy set the peak.
     write_text_atomic(
         out / "sequences.jsonl",
-        (sequences_to_jsonl([sequences[k]], cfg["setup"]) for k in sorted(sequences)),
+        (sequences_to_jsonl([sequences[k]], setup) for k in sorted(sequences)),
     )
     print(
         f"featurize: {len(train)} train / {len(test)} test instances, "
-        f"{len(index)} features ({cfg['setup'].value}/{cfg['model'].value})"
+        f"{len(index)} features ({args.setup}/{args.model})"
     )
     for name, rows in splits.items():
         if not rows:
@@ -321,7 +269,7 @@ def _warn_if_unconverged(trained: svm.TrainedModel) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     from mooctrace import model as svm
 
-    params = _svm_params(build_config(args))
+    params = _svm_params(args)
     (X, y), names = _load_matrix(args.train, args.features)
     if not y:
         raise CommandError(EXIT_EMPTY_EVENTS, "train split is empty")
@@ -428,8 +376,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     # loads numpy too.
     from mooctrace import actgraph, model as svm
 
-    cfg = build_config(args)
-    sequences = _read_sequences(args.events, cfg)
+    sequences = _read_sequences(args)
     out = Path(args.out_dir)
 
     selected = None  # every instance
@@ -454,7 +401,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if selected in (None, key):
             sid, week = key
             dots.append((f"s{sid}_w{week}.dot", actgraph.export_dot(graph)))
-            metric_rows.append(actgraph.metrics_csv_row(sid, week, cfg["setup"].value, metrics))
+            metric_rows.append(actgraph.metrics_csv_row(sid, week, args.setup, metrics))
         analysis_rows.append(_analysis_values(tokens, metrics))
     for name, dot in dots:
         write_text_atomic(out / "dot" / name, dot)
@@ -503,20 +450,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clicks", required=True)
     p.add_argument("--forum", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--min-viewers", dest="min_unique_viewers", type=int)
-    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--min-viewers", dest="min_unique_viewers", type=int, default=10)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("featurize", help="build train/test feature matrices")
     p.add_argument("--events", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--rare-threshold", dest="rare_threshold", type=int)
-    p.add_argument("--test-id-min", dest="test_id_min", type=int)
-    p.add_argument("--test-id-max", dest="test_id_max", type=int)
-    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--rare-threshold", dest="rare_threshold", type=int, default=4)
+    p.add_argument("--test-id-min", dest="test_id_min", type=int, default=798619)
+    p.add_argument("--test-id-max", dest="test_id_max", type=int, default=1882807)
     p.add_argument("--course-start", dest="course_start", type=float)
-    p.add_argument("--setup", choices=[s.value for s in Setup])
-    p.add_argument("--model", choices=[m.value for m in ModelFamily])
+    p.add_argument("--setup", choices=[s.value for s in Setup], default=Setup.CURR.value)
+    p.add_argument("--model", choices=[m.value for m in ModelFamily],
+                   default=ModelFamily.GRAPH.value)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train the cost-sensitive RBF SVM")
@@ -529,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svm-max-iter", dest="svm_max_iter", type=int)
     p.add_argument("--cost0", type=float)
     p.add_argument("--cost1", type=float)
-    p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
 
@@ -547,9 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--student", type=int)
     p.add_argument("--week", type=int)
-    p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--course-start", dest="course_start", type=float)
-    p.add_argument("--setup", choices=[s.value for s in Setup])
+    p.add_argument("--setup", choices=[s.value for s in Setup], default=Setup.CURR.value)
     p.set_defaults(func=cmd_report)
     return parser
 
@@ -562,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": str(exc), "code": exc.code}), file=sys.stderr)
         return exc.code
     except ValueError as exc:
-        # Bad values in config/flags/input files (including corrupt JSON).
+        # Bad values in flags or input files (including corrupt JSON).
         print(json.dumps({"error": str(exc), "code": EXIT_BAD_INPUT}), file=sys.stderr)
         return EXIT_BAD_INPUT
 

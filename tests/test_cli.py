@@ -238,79 +238,18 @@ class TestFeaturizeCommand:
         assert len(read) == text.count("\n") > 0
         assert ev.events_to_jsonl(read) == text
 
-    def test_config_file_flags_override(self, tmp_path, events_dir):
-        config = tmp_path / "run.cfg"
-        config.write_text("setup=tcurr\nrare_threshold=2\n# comment\n")
-        out = tmp_path / "cfg_out"
-        assert run("featurize", "--events", events_dir / "events.jsonl",
-                   "--out-dir", out, "--config", config, "--setup", "curr") == 0
-        seqs = [json.loads(l) for l in (out / "sequences.jsonl").read_text().splitlines()]
-        assert {s["setup"] for s in seqs} == {"curr"}  # flag beats config
-
-    def test_config_keys_of_every_command_accepted(self, tmp_path, events_dir):
-        config = tmp_path / "run.cfg"
-        config.write_text("model=baseline\nsvm_c=2.0\nmin_unique_viewers=3\nseed=4\n")
-        out = tmp_path / "cfg_out"
-        assert run("featurize", "--events", events_dir / "events.jsonl",
-                   "--out-dir", out, "--config", config) == 0
-        assert any(name.startswith("ng:") for name in
-                   json.loads((out / "features.json").read_text()))  # model=baseline
-
-    def test_missing_config_exit_2(self, tmp_path, events_dir, capsys):
-        missing = tmp_path / "missing.cfg"
-        code = run("featurize", "--events", events_dir / "events.jsonl",
-                   "--out-dir", tmp_path / "o", "--config", missing)
-        assert code == cli.EXIT_BAD_INPUT
-        err = json.loads(capsys.readouterr().err)
-        assert err["code"] == cli.EXIT_BAD_INPUT and str(missing) in err["error"]
-
-    def test_unknown_config_key_exit_2(self, tmp_path, events_dir, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text("# typo below\nsetup=curr\nsvm_C=5\n")
-        code = run("featurize", "--events", events_dir / "events.jsonl",
-                   "--out-dir", tmp_path / "o", "--config", config)
-        assert code == cli.EXIT_BAD_INPUT
-        err = json.loads(capsys.readouterr().err)
-        assert err["code"] == cli.EXIT_BAD_INPUT
-        assert "line 3" in err["error"] and "'svm_C'" in err["error"]
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("line, message", [
-        ("rare_threshold=abc", "rare_threshold: invalid literal for int() with base 10: 'abc'"),
-        ("setup=weekly", "setup: 'weekly' is not a valid Setup"),
-        ("svm_c=x", "svm_c: could not convert string to float: 'x'"),
-        ("svm_c", "not key=value: 'svm_c'"),
-        ("model_family=baseline", "unknown key 'model_family'"),  # the key is `model`
-    ])
-    def test_bad_config_value_exit_2(self, tmp_path, events_dir, capsys, line, message):
-        config = tmp_path / "run.cfg"
-        config.write_text(f"# bad value below\nsetup=curr\n{line}\n")
-        code = run("featurize", "--events", events_dir / "events.jsonl",
-                   "--out-dir", tmp_path / "o", "--config", config)
-        assert code == cli.EXIT_BAD_INPUT
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err == f"{config} line 3: {message}"
-        assert not (tmp_path / "o").exists()
-
     @pytest.mark.parametrize("command", ["featurize", "report"])
-    @pytest.mark.parametrize("flag, config", [
-        ("--course-start=nan", None),
-        ("--course-start=-inf", None),
-        (None, "course_start = nan"),
-        (None, "course_start = -1e308"),  # 1e+308 - -1e308 overflows to inf
+    @pytest.mark.parametrize("flag", [
+        "--course-start=nan",
+        "--course-start=-inf",
+        "--course-start=-1e308",  # 1e+308 - -1e308 overflows to inf
     ])
-    def test_course_start_without_finite_week_exit_2(self, tmp_path, capsys, command,
-                                                      flag, config):
+    def test_course_start_without_finite_week_exit_2(self, tmp_path, capsys, command, flag):
         events = tmp_path / "events.jsonl"
         events.write_text('{"sid": 1, "t": 5.0, "token": "PL"}\n'
                           '{"sid": 1, "t": 1e+308, "token": "PA"}\n')
-        argv = [command, "--events", events, "--out-dir", tmp_path / "o"]
-        if flag:
-            argv.append(flag)
-        else:
-            (tmp_path / "run.cfg").write_text(config + "\n")
-            argv += ["--config", tmp_path / "run.cfg"]
-        assert run(*argv) == cli.EXIT_BAD_INPUT
+        code = run(command, "--events", events, "--out-dir", tmp_path / "o", flag)
+        assert code == cli.EXIT_BAD_INPUT
         err = json.loads(capsys.readouterr().err)["error"]
         assert err.startswith("course_start ") and "no finite week" in err
         assert not (tmp_path / "o").exists()
@@ -632,21 +571,20 @@ class TestTrainEvalCommands:
         assert err["code"] == cli.EXIT_BAD_INPUT and err["error"].startswith(f"{bad}: ")
 
     @pytest.mark.parametrize("name, command", [
-        ("config", "featurize"), ("events.jsonl", "featurize"), ("train.txt", "train"),
-        ("features.json", "train"), ("model.json", "eval"),
+        ("events.jsonl", "featurize"), ("train.txt", "train"), ("features.json", "train"),
+        ("model.json", "eval"),
     ])
     def test_non_utf8_input_names_its_file(self, tmp_path, featurized_dir, events_dir, capsys,
                                            name, command):
-        events, config = events_dir / "events.jsonl", tmp_path / "config"
+        events = events_dir / "events.jsonl"
         train, index = featurized_dir / "train.txt", featurized_dir / "features.json"
         model_path = tmp_path / "model.json"
         assert run("train", "--train", train, "--features", index, "--out", model_path) == 0
-        config.write_text("rare_threshold=4\n")
-        bad = {"config": config, "events.jsonl": events, "train.txt": train,
-               "features.json": index, "model.json": model_path}[name]
+        bad = {"events.jsonl": events, "train.txt": train, "features.json": index,
+               "model.json": model_path}[name]
         bad.write_bytes(bad.read_bytes().replace(b"\n", b"\xff\n", 1))
         argv = {
-            "featurize": ("--events", events, "--out-dir", tmp_path / "o", "--config", config),
+            "featurize": ("--events", events, "--out-dir", tmp_path / "o"),
             "train": ("--train", train, "--features", index, "--out", tmp_path / "m2.json"),
             "eval": ("--model-file", model_path, "--test", featurized_dir / "test.txt",
                      "--features", index, "--out", tmp_path / "r.json"),
@@ -1022,13 +960,13 @@ class TestDeterminism:
 class TestParser:
     OPTIONS = {
         "synth": "--out-dir --students --weeks --signal --mix --seed",
-        "ingest": "--clicks --forum --out-dir --min-viewers --config",
+        "ingest": "--clicks --forum --out-dir --min-viewers",
         "featurize": "--events --out-dir --rare-threshold --test-id-min --test-id-max "
-                     "--config --course-start --setup --model",
+                     "--course-start --setup --model",
         "train": "--train --features --out --svm-c --svm-gamma --svm-tolerance "
-                 "--svm-max-iter --cost0 --cost1 --config --seed",
+                 "--svm-max-iter --cost0 --cost1 --seed",
         "eval": "--model-file --model-file-b --test --features --out --ttest-out",
-        "report": "--events --out-dir --student --week --config --course-start --setup",
+        "report": "--events --out-dir --student --week --course-start --setup",
     }
 
     def test_each_command_registers_only_what_it_reads(self):
@@ -1040,6 +978,15 @@ class TestParser:
             for name, sub in commands.choices.items()
         }
         assert options == self.OPTIONS
+
+    @pytest.mark.parametrize("flag", ["--setup=weekly", "--model=graphs", "--rare-threshold=abc"])
+    def test_bad_flag_value_exit_2(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["featurize", "--events", str(tmp_path / "e"), "--out-dir",
+                      str(tmp_path / "o"), flag])
+        assert exc.value.code == cli.EXIT_BAD_INPUT
+        assert f"argument {flag.split('=')[0]}: invalid " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_readme_walkthrough_runs(self, tmp_path, monkeypatch):
         # Every command line of README's walkthrough, continuations joined.
