@@ -352,6 +352,16 @@ def snippet_events(tmp_path_factory):
     return base / "events.jsonl"
 
 
+# The snippet's events.jsonl, recorded before the clicks of every student were
+# encoded in one pass: sequences.jsonl keeps the tokens but not a scroll's
+# timestamp, which this does.
+_EVENTS_SHA256 = "14f35af78d2b66bebe8aced3021b4e5907caa14071d20978b731ebfbdc937f89"
+
+
+def test_events_pinned(snippet_events):
+    assert _sha256(snippet_events.read_bytes()) == _EVENTS_SHA256
+
+
 @pytest.mark.parametrize("family", sorted(_FEATURIZE_SHA256))
 def test_featurize_artifacts_pinned(tmp_path, snippet_events, family):
     assert cli.main(["featurize", "--events", str(snippet_events), "--out-dir", str(tmp_path),
