@@ -6,7 +6,8 @@ SVM flag left out keeps the ``SvmParams`` default. Every text input is
 decoded as strict UTF-8 from its bytes; a file that cannot be read or
 decoded exits 2 naming its path, and so does a file that cannot be
 written. Every command writes files atomically, exits nonzero on error, and
-puts a machine-readable JSON error on stderr.
+puts a machine-readable JSON error on stderr, a command line argparse
+refuses included.
 
 Each command loads only what its own work needs. ``mooctrace.model`` is the
 package's one numpy module. It is imported inside train, eval and report,
@@ -177,8 +178,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     out = Path(args.out_dir)
     write_text_atomic(out / "events.jsonl", events_to_jsonl(events))
-    diag_objs = [dict(d.to_json_obj(), source="clickstream") for d in click_diags]
-    diag_objs += [dict(d.to_json_obj(), source="forum") for d in forum_diags]
+    diag_objs = [
+        {"line": line_no, "reason": reason, "source": source}
+        for source, diags in (("clickstream", click_diags), ("forum", forum_diags))
+        for line_no, reason in diags
+    ]
     write_jsonl_atomic(out / "diagnostics.jsonl", diag_objs)
 
     print(
@@ -430,8 +434,17 @@ def cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line like any other bad input: exit 2 with a JSON
+    error, after the usage. Subparsers are of the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise CommandError(EXIT_BAD_INPUT, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mooctrace",
         description="Activity-sequence graphs and dropout prediction for MOOC logs",
     )
@@ -499,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CommandError as exc:
         print(json.dumps({"error": str(exc), "code": exc.code}), file=sys.stderr)

@@ -3,12 +3,13 @@
 Input logs are JSON-lines. Clickstream lines carry ``sid``, ``t``, ``vid``,
 ``kind`` and, depending on kind, ``dir`` (seek) or ``rate`` (ratechange), and
 parse to ``RawClickEvent``s. Forum lines carry ``sid``, ``t``, ``kind``, and
-parse straight to ``Event``s, one token per kind. ``encode_events`` encodes
-each student's clicks (seek runs, playrate sessions) and merges the forum
-events in with one sort. Parsing is lenient: malformed lines become per-line
-diagnostics instead of aborting the run: bad JSON (including an integer
-literal past Python's digit limit), a missing or mistyped field, and a ``t``
-or ``rate`` too large for a float.
+parse straight to ``Event``s, one token per kind. ``encode_clickstream``
+encodes clicks sorted by (student, timestamp) in one pass (seek runs,
+playrate sessions); ``encode_events`` sorts the clicks so, encodes them and
+merges the forum events in with one sort. Parsing is lenient: malformed
+lines become per-line diagnostics instead of aborting the run: bad JSON
+(including an integer literal past Python's digit limit), a missing or
+mistyped field, and a ``t`` or ``rate`` too large for a float.
 
 ``events_to_jsonl`` writes encoded events as fixed-format JSON lines, the
 same bytes ``json.dumps(obj, sort_keys=True)`` gives for each event the
@@ -30,6 +31,7 @@ import math
 import re
 from collections import defaultdict
 from enum import IntEnum
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -80,7 +82,12 @@ FORUM_KIND_TO_TOKEN = {
     "viewthread": ActivityToken.Vt,
 }
 
-SEEK_DIRECTIONS = ("forward", "backward")
+# JSON `dir` values of a seek, each with its tokens: (isolated seek, scroll).
+_SEEK_TOKENS = {
+    "forward": (ActivityToken.FW, ActivityToken.FS),
+    "backward": (ActivityToken.BW, ActivityToken.BS),
+}
+SEEK_DIRECTIONS = tuple(_SEEK_TOKENS)
 
 # Two same-direction seeks less than this many seconds apart group into a scroll.
 SCROLL_GAP_SECONDS = 1.0
@@ -116,9 +123,6 @@ class ParseDiagnostic(NamedTuple):
 
     line_no: int
     reason: str
-
-    def to_json_obj(self) -> dict:
-        return {"line": self.line_no, "reason": self.reason}
 
 
 def _to_float(x: int | float) -> float:
@@ -163,7 +167,7 @@ def _parse_click_line(obj: dict) -> RawClickEvent:
         direction = obj.get("dir")
         if direction is None:
             raise ValueError("seek missing direction")
-        if direction not in SEEK_DIRECTIONS:
+        if direction not in _SEEK_TOKENS:
             raise ValueError(f"invalid seek direction {direction!r}")
     elif kind == "ratechange":
         rate = obj.get("rate")
@@ -241,78 +245,48 @@ def filter_valid_videos(
     return [ev for ev in events if ev.video_id in valid]
 
 
-_SEEK_TOKEN = {
-    ("forward", False): ActivityToken.FW,
-    ("forward", True): ActivityToken.FS,
-    ("backward", False): ActivityToken.BW,
-    ("backward", True): ActivityToken.BS,
-}
-
-
 def encode_clickstream(events: list[RawClickEvent]) -> tuple[list[Event], int]:
-    """Encode one student's time-sorted clickstream into activity tokens.
+    """Encode clicks sorted by (student, timestamp) into activity tokens.
 
-    Seek runs: a maximal run of >= 2 consecutive same-direction seeks with
+    A video session is one student's consecutive clicks on one video. Within
+    a session, a maximal run of >= 2 consecutive same-direction seeks with
     gaps under one second collapses into a single scroll token (FS/BS)
     stamped with the run's first timestamp; an isolated seek maps to FW/BW.
     A run breaks on direction change, on a gap >= 1 s, on any intervening
-    non-seek event, and on a video change.
+    non-seek click, and with its session.
 
-    Ratechanges compare against the most recent playrate of the current
-    video session (initially 1.0, reset whenever the video id changes) and
-    emit RCI/RCD. Equal-rate changes carry no direction; they are dropped
-    and counted in the returned second element.
+    Ratechanges compare against the most recent playrate of the session
+    (initially 1.0) and emit RCI/RCD. Equal-rate changes carry no direction;
+    they are dropped and counted in the returned second element.
     """
     out: list[Event] = []
     dropped_equal_rate = 0
-
-    # Pending seek run: (direction, first_ts, last_ts, count).
-    run: tuple[str, float, float, int] | None = None
-    session_vid: str | None = None
-    session_rate = INITIAL_PLAYRATE
-
-    def flush_run() -> None:
-        nonlocal run
-        if run is None:
-            return
-        direction, first_ts, _, count = run
-        token = _SEEK_TOKEN[(direction, count >= 2)]
-        out.append(Event(sid, first_ts, token))
-        run = None
-
-    sid = events[0].student_id if events else 0
-    for ev in events:
-        sid = ev.student_id
-        if ev.video_id != session_vid:
-            # New video session: grouping and playrate state reset.
-            flush_run()
-            session_vid = ev.video_id
-            session_rate = INITIAL_PLAYRATE
-        if ev.kind == "seek":
-            if run is not None:
-                direction, first_ts, last_ts, count = run
-                if ev.seek_direction == direction and ev.timestamp - last_ts < SCROLL_GAP_SECONDS:
-                    run = (direction, first_ts, ev.timestamp, count + 1)
-                    continue
-                flush_run()
-            run = (ev.seek_direction, ev.timestamp, ev.timestamp, 1)
+    session_sid = session_vid = run_direction = None
+    for sid, vid, t, kind, direction, rate in events:
+        if vid != session_vid or sid != session_sid:
+            session_sid, session_vid, session_rate = sid, vid, INITIAL_PLAYRATE
+            run_direction = None
+        if kind == "seek":
+            single, scroll = _SEEK_TOKENS[direction]
+            if direction == run_direction and t - run_t < SCROLL_GAP_SECONDS:
+                out[-1] = Event(sid, out[-1].timestamp, scroll)  # the run's token
+            else:
+                out.append(Event(sid, t, single))
+            run_direction, run_t = direction, t
             continue
-        flush_run()
-        if ev.kind == "play":
-            out.append(Event(sid, ev.timestamp, ActivityToken.PL))
-        elif ev.kind == "pause":
-            out.append(Event(sid, ev.timestamp, ActivityToken.PA))
-        elif ev.kind == "ratechange":
-            if ev.playrate > session_rate:
-                out.append(Event(sid, ev.timestamp, ActivityToken.RCI))
-            elif ev.playrate < session_rate:
-                out.append(Event(sid, ev.timestamp, ActivityToken.RCD))
+        run_direction = None
+        if kind == "play":
+            out.append(Event(sid, t, ActivityToken.PL))
+        elif kind == "pause":
+            out.append(Event(sid, t, ActivityToken.PA))
+        else:  # ratechange
+            if rate > session_rate:
+                out.append(Event(sid, t, ActivityToken.RCI))
+            elif rate < session_rate:
+                out.append(Event(sid, t, ActivityToken.RCD))
             else:
                 dropped_equal_rate += 1
-            session_rate = ev.playrate
-        else:  # pragma: no cover - parser only admits known kinds
-            raise ValueError(f"unknown click kind {ev.kind!r}")
-    flush_run()
+            session_rate = rate
     return out, dropped_equal_rate
 
 
@@ -321,24 +295,13 @@ def encode_events(
 ) -> tuple[list[Event], int]:
     """Encode the clickstream across all students and merge in the forum events.
 
-    Clickstream events are grouped per student and time-sorted before
-    encoding (scroll grouping and playrate sessions are per-student).
-    Forum events come encoded from parse_forum_log. The combined result is
-    sorted by (student, timestamp, token order) so downstream output is
-    reproducible byte-for-byte.
+    The clicks, in any order, are stably sorted by (student, timestamp) and
+    encoded in one pass. Forum events come encoded from parse_forum_log. The
+    combined result is sorted by (student, timestamp, token order) so
+    downstream output is reproducible byte-for-byte.
     """
-    by_student: dict[int, list[RawClickEvent]] = defaultdict(list)
-    for ev in click_events:
-        by_student[ev.student_id].append(ev)
-
-    encoded: list[Event] = []
-    dropped = 0
-    for sid in sorted(by_student):
-        ordered = sorted(by_student[sid], key=lambda e: e.timestamp)
-        events, n = encode_clickstream(ordered)
-        encoded.extend(events)
-        dropped += n
-    encoded.extend(forum_events)
+    encoded, dropped = encode_clickstream(sorted(click_events, key=itemgetter(0, 2)))
+    encoded += forum_events
     encoded.sort()  # by (student, timestamp, token)
     return encoded, dropped
 

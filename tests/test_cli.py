@@ -981,12 +981,27 @@ class TestParser:
 
     @pytest.mark.parametrize("flag", ["--setup=weekly", "--model=graphs", "--rare-threshold=abc"])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, flag):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["featurize", "--events", str(tmp_path / "e"), "--out-dir",
-                      str(tmp_path / "o"), flag])
-        assert exc.value.code == cli.EXIT_BAD_INPUT
-        assert f"argument {flag.split('=')[0]}: invalid " in capsys.readouterr().err
+        assert cli.main(["featurize", "--events", str(tmp_path / "e"), "--out-dir",
+                         str(tmp_path / "o"), flag]) == cli.EXIT_BAD_INPUT
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert error["code"] == cli.EXIT_BAD_INPUT
+        assert error["error"].startswith(f"argument {flag.split('=')[0]}: invalid ")
         assert not (tmp_path / "o").exists()
+
+    def test_missing_required_flag_exit_2(self, tmp_path, capsys):
+        assert cli.main(["train", "--train", str(tmp_path / "t")]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mooctrace train ")
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": "the following arguments are required: --features, --out",
+            "code": cli.EXIT_BAD_INPUT,
+        }
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mooctrace ")
 
     def test_readme_walkthrough_runs(self, tmp_path, monkeypatch):
         # Every command line of README's walkthrough, continuations joined.

@@ -248,6 +248,24 @@ class TestEncodeClickstream:
         out, _ = ev.encode_clickstream(raw)
         assert len(out) == len(raw)
 
+    def test_session_resets_between_students(self):
+        # Same video id, consecutive in (student, timestamp) order: student 2's
+        # clicks open a new session, so its seek starts no run with student
+        # 1's and its rate starts again at 1.0.
+        out, dropped = ev.encode_clickstream(
+            [
+                click(10.0, "seek", sid=1, dir="forward"),
+                click(11.0, "ratechange", sid=1, rate=1.5),
+                click(10.2, "seek", sid=2, dir="forward"),
+                click(11.0, "ratechange", sid=2, rate=1.5),
+            ]
+        )
+        assert out == [
+            ev.Event(1, 10.0, T.FW), ev.Event(1, 11.0, T.RCI),
+            ev.Event(2, 10.2, T.FW), ev.Event(2, 11.0, T.RCI),
+        ]
+        assert dropped == 0
+
 
 SEEK_DIR = st.sampled_from(["forward", "backward"])
 
@@ -312,6 +330,24 @@ class TestEncodeProperties:
 
 
 class TestEncodeEvents:
+    @given(
+        st.lists(st.tuples(st.integers(1, 3), raw_click_sequences()), max_size=4),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_encoding_each_student_apart(self, students, rng):
+        clicks = [c._replace(student_id=sid) for sid, raw in students for c in raw]
+        rng.shuffle(clicks)
+        # Oracle: each student's clicks, stably sorted by timestamp and encoded
+        # on their own; then the students' tokens concatenated and sorted.
+        expected, expected_dropped = [], 0
+        for sid in sorted({c.student_id for c in clicks}):
+            own = sorted((c for c in clicks if c.student_id == sid), key=lambda c: c.timestamp)
+            out, dropped = ev.encode_clickstream(own)
+            expected += out
+            expected_dropped += dropped
+        assert ev.encode_events(clicks, []) == (sorted(expected), expected_dropped)
+
     def test_groups_students_and_sorts(self):
         clicks = [click(5.0, "play", sid=2), click(1.0, "play", sid=1)]
         forums = [ev.Event(1, 3.0, T.Vf)]
